@@ -96,15 +96,6 @@ class ProjectivePoint:
     coords: tuple[int, ...]
 
 
-def normalize_point(field: GaloisField, vec: tuple[int, ...]) -> ProjectivePoint:
-    """Scale vec so its first nonzero coordinate is 1."""
-    for c in vec:
-        if c != 0:
-            scale = field.inv(c)
-            return ProjectivePoint(tuple(field.mul(scale, x) for x in vec))
-    raise GraphInputError("the zero vector is not a projective point")
-
-
 def projective_points(q: int, k: int) -> list[ProjectivePoint]:
     """All points of the (k+1)-dimensional projective space over GF(q).
 

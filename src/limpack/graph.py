@@ -116,9 +116,6 @@ class TypedMultigraph:
         _check_endpoint(v, self.n)
         return len(self.c_adj[v]) + len(self.d_adj[v])
 
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
-
     def closed_d_neighborhood(self, v: int) -> set[int]:
         """{v} plus v's d-neighbors; c-edges contribute nothing."""
         _check_endpoint(v, self.n)

@@ -167,6 +167,17 @@ def resample_step(g: Graph, chosen: set[int], v: int, p: float, rng: random.Rand
             chosen.discard(u)
 
 
+def default_lll_parameters(g: Graph, k: int) -> LLLParameters:
+    """The parameters lll_resample uses when none are given.
+
+    With k at or above the maximum degree every set is k-limited, so p = 1.
+    """
+    max_degree = degree_stats(g).max_degree
+    if k > max_degree:
+        return LLLParameters(0.0, 0.0, 1.0, False)
+    return lll_parameters(max(2, max_degree), k)
+
+
 def lll_resample(
     g: Graph,
     k: int,
@@ -185,12 +196,8 @@ def lll_resample(
         raise GraphInputError(f"k must be positive, got {k}")
     if max_rounds < 1:
         raise GraphInputError(f"max_rounds must be at least 1, got {max_rounds}")
-    stats = degree_stats(g)
     if params is None:
-        if k > stats.max_degree:
-            params = LLLParameters(0.0, 0.0, 1.0, False)
-        else:
-            params = lll_parameters(max(2, stats.max_degree), k)
+        params = default_lll_parameters(g, k)
     if not (0.0 < params.p <= 1.0):
         raise GraphInputError(f"p must lie in (0, 1], got {params.p}")
     rng = random.Random(seed)

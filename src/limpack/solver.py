@@ -7,6 +7,17 @@ the lexicographically first optimal set in the branching order.  The
 packing solver maintains per-constraint residual capacities; the
 domination solver tracks coverage deficits and remaining potential.
 
+Both prune with the paper's double-counting bound (k·n/(δ+1), see
+``bounds.packing_upper``) applied to the residual instance at each node.
+Packing: at most (sum of the residual caps of the constraints that still
+contain an undecided selectable vertex) // (fewest constraints any such
+vertex lies in) more vertices fit, and never more than the selectable
+vertices left.  Domination: at least ceil(sum of deficits / most
+constraints any vertex lies in) more vertices are needed, and never fewer
+than the largest deficit.  A node is pruned only when its subtree cannot
+strictly improve on the incumbent, so the witness rule above is
+unaffected by the bounds.
+
 ``enumerate_oracle`` scans all 2^n subsets with no pruning and is the
 independent yardstick the rest of the package is tested against.
 """
@@ -140,11 +151,19 @@ def _check_size(n: int, vertex_limit: int) -> None:
 def _maximize(
     n: int, constraints: list[tuple[list[int], int]], order: list[int]
 ) -> SolveResult:
+    """Branch and bound for the largest set within every constraint's cap.
+
+    Every vertex must lie in at least one constraint, so `fewest` below is
+    never 0.
+    """
     caps = [limit for _, limit in constraints]
     cons_of: list[list[int]] = [[] for _ in range(n)]
     for idx, (members, _) in enumerate(constraints):
         for v in members:
             cons_of[v].append(idx)
+    cons_in_order = [cons_of[v] for v in order]
+    # live_at[c] == nodes marks constraint c as counted in the current node's bound
+    live_at = [0] * len(constraints)
 
     best_size = -1
     best_set: list[int] = []
@@ -162,8 +181,24 @@ def _maximize(
                 best_size = len(chosen)
                 best_set = sorted(chosen)
             return
-        remaining = sum(1 for i in range(pos, n) if selectable(order[i]))
-        if len(chosen) + remaining <= best_size:
+        # Residual double counting: a vertex that can still be added is
+        # undecided and selectable, and adding it spends one unit of each of
+        # its constraints (at least `fewest` of them, all counted in cap_sum),
+        # so at most cap_sum // fewest more vertices fit.  Caps never go
+        # negative, so a vertex is selectable when none of its caps is 0.
+        addable = 0
+        cap_sum = 0
+        fewest = len(caps)
+        for cs in cons_in_order[pos:]:
+            if 0 not in [caps[c] for c in cs]:
+                addable += 1
+                if len(cs) < fewest:
+                    fewest = len(cs)
+                for c in cs:
+                    if live_at[c] != nodes:
+                        live_at[c] = nodes
+                        cap_sum += caps[c]
+        if len(chosen) + min(addable, cap_sum // fewest) <= best_size:
             return
         v = order[pos]
         if selectable(v):
@@ -189,6 +224,7 @@ def _minimize(
     for idx, (members, _) in enumerate(constraints):
         for v in members:
             cons_of[v].append(idx)
+    most = max((len(cs) for cs in cons_of), default=1)
 
     # the full vertex set is feasible (l <= min_degree + 1 was checked)
     best_size = n
@@ -199,12 +235,17 @@ def _minimize(
     def rec(pos: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
+        # Residual double counting: an addition lowers the total deficit by
+        # at most `most`, the largest number of constraints a vertex lies in.
         max_deficit = 0
-        for idx in range(len(constraints)):
-            deficit = l - covered[idx]
-            if deficit > max_deficit:
-                max_deficit = deficit
-        if len(chosen) + max_deficit >= best_size:
+        deficit_sum = 0
+        for cov in covered:
+            deficit = l - cov
+            if deficit > 0:
+                deficit_sum += deficit
+                if deficit > max_deficit:
+                    max_deficit = deficit
+        if len(chosen) + max(max_deficit, -(-deficit_sum // most)) >= best_size:
             return
         if pos == n:
             if max_deficit == 0 and len(chosen) < best_size:
