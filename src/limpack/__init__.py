@@ -20,6 +20,7 @@ from .cubic import (
 from .errors import (
     GraphInputError,
     InfeasibleError,
+    InternalError,
     LimpackError,
     PreconditionError,
     ResourceLimitError,
@@ -87,6 +88,7 @@ __all__ = [
     "find_configuration_a",
     "GraphInputError",
     "InfeasibleError",
+    "InternalError",
     "LimpackError",
     "PreconditionError",
     "ResourceLimitError",

@@ -1,7 +1,9 @@
 """Command-line interface: gen, solve, construct, verify, bounds, bench.
 
 Exit codes: 0 success or valid certificate, 1 invalid certificate or
-infeasible/failed solve, 2 usage error, 3 input error.  All randomness
+infeasible/failed solve, 2 usage error, 3 input error, 4 internal error
+(a broken invariant inside limpack), 141 standard output closed early by
+its reader (as in ``limpack bench | head``).  All randomness
 takes an explicit --seed (default 0, never wall-clock), so identical
 invocations produce byte-identical reports; `bench --no-timing` drops
 the only non-deterministic column.
@@ -10,6 +12,7 @@ the only non-deterministic column.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -21,6 +24,7 @@ from .cubic import construct_two_limited
 from .errors import (
     GraphInputError,
     InfeasibleError,
+    InternalError,
     LimpackError,
     PreconditionError,
     ResourceLimitError,
@@ -114,13 +118,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to the null device
+        # so the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (GraphInputError, PreconditionError, ResourceLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

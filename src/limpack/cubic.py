@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .graph import Graph, TypedMultigraph, connected_components, degree_stats
 from .verify import verify_typed_two_limited
 
@@ -142,7 +142,7 @@ def construct_two_limited(tm: TypedMultigraph) -> tuple[frozenset[int], Reductio
     chosen = _solve(st, steps)
     report = verify_typed_two_limited(tm, chosen)
     if not report.valid or 3 * len(chosen) < tm.n:
-        raise RuntimeError(
+        raise InternalError(
             "internal error: construction produced an invalid or undersized set"
         )
     return frozenset(chosen), ReductionTrace(tuple(steps))
@@ -194,7 +194,7 @@ def _solve_component(st: _State, comp: list[int], steps: list[ReductionStep]) ->
             if v not in st.cadj[u]:
                 _record(steps, "base-case", comp, (), (u, v))
                 return {u, v}
-        raise RuntimeError("internal error: all-c K4 component reached the base case")
+        raise InternalError("internal error: all-c K4 component reached the base case")
 
     # all edges c: 3-color and take the largest color class
     if all(not st.dadj[v] for v in comp):
@@ -255,7 +255,7 @@ def _reduce_degree_one(
                 added = [(a, b)]
         removed = {u, v}
         if added and _c_k4_completions(st, added, removed):
-            raise RuntimeError("internal error: degree-1 c-edge completed a K4")
+            raise InternalError("internal error: degree-1 c-edge completed a K4")
         _record(steps, "degree-1", removed, added, (u,))
         nxt = st.without(removed)
         for x, y in added:
@@ -311,9 +311,9 @@ def _reduce_degree_two(
         if k4s:
             k4, inside = k4s[0]
             if len(inside) < 2 or pair_v is None or pair_w is None:
-                raise RuntimeError("internal error: single degree-2 c-edge completed a K4")
+                raise InternalError("internal error: single degree-2 c-edge completed a K4")
             if len(comp) != 7:
-                raise RuntimeError("internal error: degree-2 double K4 outside 7 vertices")
+                raise InternalError("internal error: degree-2 double K4 outside 7 vertices")
             pick = {pair_v[0], pair_v[1], w}
             _record(steps, "degree-2-c-k4", comp, (), pick)
             return pick
@@ -329,7 +329,7 @@ def _assert_simple_cubic(st: _State, comp: list[int]) -> None:
     for v in comp:
         nb = st.neighbors(v)
         if len(nb) != 3 or st.degree(v) != 3:
-            raise RuntimeError(
+            raise InternalError(
                 "internal error: expected a simple 3-regular component after"
                 f" the degree reductions, vertex {v} breaks it"
             )
@@ -341,7 +341,7 @@ def _reduce_d_edge(st: _State, comp: list[int], steps: list[ReductionStep]) -> s
     d-edge (an all-c component would have been 3-colored instead)."""
     d_edges = sorted((u, v) for u in comp for v in st.dadj[u] if u < v)
     if not d_edges:
-        raise RuntimeError("internal error: no d-edge left for the cubic rules")
+        raise InternalError("internal error: no d-edge left for the cubic rules")
 
     one_triangle: Optional[tuple[int, int, int]] = None
     for u, v in d_edges:
@@ -384,7 +384,7 @@ def _one_triangle(
     if k4s:
         k4, inside = k4s[0]
         if len(inside) < 2 or pair_a is None or pair_b is None:
-            raise RuntimeError("internal error: single one-triangle c-edge completed a K4")
+            raise InternalError("internal error: single one-triangle c-edge completed a K4")
         # both pairs live inside the K4; remove it together with
         # {a, b, u, v, w} and take pair(a) plus b
         removed_special = set(k4) | {a, b, u, v, w}
@@ -403,7 +403,7 @@ def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[
     c, d = sorted(st.neighbors(v) - {u})
     parents = [a, b, c, d]
     if len({a, b, c, d}) != 4:
-        raise RuntimeError("internal error: triangle-free d-edge with shared neighbors")
+        raise InternalError("internal error: triangle-free d-edge with shared neighbors")
     removed = {u, v, a, b, c, d}
     need: dict[int, Optional[tuple[int, int]]] = {
         z: _needed_pair(st, z, u if z in (a, b) else v, removed) for z in parents
@@ -424,7 +424,7 @@ def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[
     k4, inside = k4s[0]
     involved = [z for z in parents if need[z] in inside]
     if len(inside) < 2 or len(involved) != len(inside):
-        raise RuntimeError("internal error: malformed c-K4 completion in the"
+        raise InternalError("internal error: malformed c-K4 completion in the"
                            " triangle-free rule")
     if len(inside) == 2:
         x, y = involved
@@ -442,7 +442,7 @@ def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[
         if pair_left and not (set(pair_left) & removed_special):
             extra.append(pair_left)
         if extra and _c_k4_completions(st, extra, removed_special):
-            raise RuntimeError("internal error: leftover c-edge completed a K4")
+            raise InternalError("internal error: leftover c-edge completed a K4")
         _record(steps, "d-edge-no-triangle-c-k4-triple", removed_special, extra, pick)
         nxt = st.without(removed_special)
         for x2, y2 in extra:
@@ -451,7 +451,7 @@ def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[
     # all four added edges in one K4: the component is exactly these 10
     # vertices and the four middle vertices form the 2-limited set
     if len(st.verts) != 10:
-        raise RuntimeError("internal error: quadruple K4 completion outside 10 vertices")
+        raise InternalError("internal error: quadruple K4 completion outside 10 vertices")
     pick = {a, b, c, d}
     _record(steps, "d-edge-no-triangle-c-k4-quad", set(k4) | removed, (), pick)
     return pick
@@ -571,7 +571,7 @@ def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
     if len(comp) <= 24:
         _exhaustive_color(g, comp, colors)
         return
-    raise RuntimeError("internal error: no Brooks decomposition found")
+    raise InternalError("internal error: no Brooks decomposition found")
 
 
 def _split_at_cut_vertex(g: Graph, comp_set: set[int], cut: int, colors: list[int]) -> None:
@@ -661,7 +661,7 @@ def _connected_without(g: Graph, comp_set: set[int], removed: set[int]) -> bool:
 
 def _exhaustive_color(g: Graph, comp: list[int], colors: list[int]) -> None:
     if len(comp) > 24:
-        raise RuntimeError("internal error: component too large for exhaustive coloring")
+        raise InternalError("internal error: component too large for exhaustive coloring")
     order = sorted(comp)
     pos = {v: i for i, v in enumerate(order)}
     assign: list[int] = [-1] * len(order)
@@ -680,6 +680,6 @@ def _exhaustive_color(g: Graph, comp: list[int], colors: list[int]) -> None:
         return False
 
     if not backtrack(0):
-        raise RuntimeError(f"internal error: component {comp} is not 3-colorable")
+        raise InternalError(f"internal error: component {comp} is not 3-colorable")
     for v in comp:
         colors[v] = assign[pos[v]]

@@ -1,7 +1,9 @@
 """Exception types shared by all limpack modules.
 
 The CLI maps these onto exit codes: input and precondition problems are
-exit 3, resource limits exit 3, infeasibility exit 1.
+exit 3, resource limits exit 3, infeasibility exit 1, and a broken
+internal invariant (``InternalError``, a bug in limpack, not in the
+input) exit 4.
 """
 
 
@@ -23,3 +25,7 @@ class ResourceLimitError(LimpackError, RuntimeError):
 
 class InfeasibleError(LimpackError, ValueError):
     """The requested optimization problem has no feasible solution."""
+
+
+class InternalError(LimpackError, RuntimeError):
+    """An internal invariant of an algorithm does not hold: a bug in limpack."""

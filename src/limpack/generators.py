@@ -165,7 +165,8 @@ def gen_random_regular(n: int, r: int, seed: int, max_attempts: int = 1000) -> G
 
     Stubs are matched one at a time against a uniformly chosen compatible
     stub (no self-loops, no repeated edges); a dead end discards the whole
-    attempt.  Deterministic for a fixed seed.
+    attempt.  Deterministic for a fixed seed.  An attempt takes
+    O(n r^2 log n) time.
     """
     if n < 0 or r < 0:
         raise GraphInputError(f"n and r must be nonnegative, got n={n}, r={r}")
@@ -184,25 +185,87 @@ def gen_random_regular(n: int, r: int, seed: int, max_attempts: int = 1000) -> G
 
 
 def _pairing_attempt(n: int, r: int, rng: random.Random) -> list[tuple[int, int]] | None:
-    stubs = [v for v in range(n) for _ in range(r)]
-    taken: set[tuple[int, int]] = set()
+    """Match stubs one at a time; None when the lowest live stub has no partner.
+
+    The live stubs form a list sorted by vertex; each pairing matches its
+    first stub, of the lowest vertex u with one left, to the i-th of the
+    compatible stubs (neither u's nor a current neighbour's), with i drawn
+    by ``rng.randrange`` over their count.  A vertex's stubs are
+    interchangeable, so only the vertex of the i-th compatible stub
+    matters: a Fenwick tree over the live stub counts finds it in
+    O(r log n) by skipping the blocked vertices' stubs in sorted order.
+    """
+    live = [r] * n
+    tree = _Fenwick(live)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int]] = []
-    while stubs:
-        u = stubs[0]
-        candidates = [
-            i
-            for i in range(1, len(stubs))
-            if stubs[i] != u and (min(u, stubs[i]), max(u, stubs[i])) not in taken
-        ]
-        if not candidates:
+    total = n * r
+    u = 0
+    while total:
+        while not live[u]:
+            u += 1
+        # u is the lowest vertex with a live stub, so its live neighbours lie above it
+        blocked = sorted(w for w in nbrs[u] if live[w])
+        compatible = total - live[u] - sum(live[w] for w in blocked)
+        if not compatible:
             return None
-        i = candidates[rng.randrange(len(candidates))]
-        v = stubs[i]
-        taken.add((min(u, v), max(u, v)))
+        i = rng.randrange(compatible) + live[u]
+        for w in blocked:
+            if tree.prefix(w) > i:
+                break
+            i += live[w]
+        v = tree.select(i)
         edges.append((u, v))
-        del stubs[i]
-        del stubs[0]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        for w in (u, v):
+            live[w] -= 1
+            tree.add(w, -1)
+        total -= 2
     return edges
+
+
+class _Fenwick:
+    """Prefix sums over nonnegative vertex weights (Fenwick 1994)."""
+
+    def __init__(self, weights: list[int]):
+        n = len(weights)
+        tree = [0] + weights
+        for i in range(1, n + 1):
+            parent = i + (i & -i)
+            if parent <= n:
+                tree[parent] += tree[i]
+        self._tree = tree
+        self._top = 1 << max(n.bit_length() - 1, 0)
+
+    def add(self, v: int, delta: int) -> None:
+        tree = self._tree
+        i = v + 1
+        while i < len(tree):
+            tree[i] += delta
+            i += i & -i
+
+    def prefix(self, v: int) -> int:
+        """Total weight of the vertices below v."""
+        tree = self._tree
+        total = 0
+        while v:
+            total += tree[v]
+            v &= v - 1
+        return total
+
+    def select(self, i: int) -> int:
+        """The vertex holding unit i of the weight, counted from 0."""
+        tree = self._tree
+        pos = 0
+        step = self._top
+        while step:
+            nxt = pos + step
+            if nxt < len(tree) and tree[nxt] <= i:
+                pos = nxt
+                i -= tree[nxt]
+            step >>= 1
+        return pos
 
 
 def _is_prime(q: int) -> bool:

@@ -8,12 +8,20 @@ random lower bound of the bound sheet.
 
 ``lll_resample`` is a resampling loop in the Moser-Tardos style: while
 some closed neighborhood holds k+1 or more chosen vertices, the whole
-neighborhood is resampled.  It is this package's algorithmic realization
-of an existence argument via the local lemma, not a construction taken
-from anywhere else; the parameter epsilon1 = sqrt(5/log log D) only
-drops below 1 at astronomically large D, so desk-scale runs always carry
-``clamped=True`` and are judged on validity, determinism, and size
-statistics rather than the asymptotic constant.
+neighborhood of the lowest such vertex is resampled.  The loop keeps
+count[v] = |N[v] ∩ X| for every v and a lazy min-heap that holds every
+vertex with count[v] > k (stale entries, whose count has since dropped,
+are discarded when they reach the top), so the top entry is the lowest
+violated vertex.  A resample updates the counts over the closed
+neighborhood of each vertex that changed membership, O(D^2) per round
+instead of a scan of all n neighborhoods.
+
+The resampler is this package's algorithmic realization of an existence
+argument via the local lemma, not a construction taken from anywhere
+else; the parameter epsilon1 = sqrt(5/log log D) only drops below 1 at
+astronomically large D, so desk-scale runs always carry ``clamped=True``
+and are judged on validity, determinism, and size statistics rather than
+the asymptotic constant.
 
 All runs are deterministic for a fixed seed: one independent generator
 per run, no global state.
@@ -21,6 +29,7 @@ per run, no global state.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -124,8 +133,9 @@ def sample_and_repair(
 ) -> RandomRunReport:
     """Independent sampling at rate p, then deterministic repair.
 
-    While some closed neighborhood holds more than k chosen vertices, the
-    excess members with the largest indices are deleted.  The result
+    For v = 0..n-1 in turn, the members of N[v] beyond the first k (by
+    index) are deleted.  Deletions never raise a count, so after the one
+    pass every closed neighborhood holds at most k members and the result
     always verifies; identical inputs and seed give identical reports.
     """
     if k < 1:
@@ -139,17 +149,12 @@ def sample_and_repair(
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < rate}
     repairs = 0
-    dirty = True
-    while dirty:
-        dirty = False
-        for v in range(g.n):
-            members = sorted(u for u in ({v} | set(g.adj[v])) if u in chosen)
-            excess = len(members) - k
-            if excess > 0:
-                for u in members[-excess:]:
-                    chosen.discard(u)
-                repairs += excess
-                dirty = True
+    for v in range(g.n):
+        members = sorted(u for u in (v, *g.adj[v]) if u in chosen)
+        excess = len(members) - k
+        if excess > 0:
+            chosen.difference_update(members[-excess:])
+            repairs += excess
     return RandomRunReport(
         packing=Packing(k, frozenset(chosen)),
         rounds=0,
@@ -158,13 +163,21 @@ def sample_and_repair(
     )
 
 
-def resample_step(g: Graph, chosen: set[int], v: int, p: float, rng: random.Random) -> None:
-    """Resample membership of every vertex of N[v] independently at rate p."""
+def resample_step(
+    g: Graph, chosen: set[int], v: int, p: float, rng: random.Random
+) -> list[int]:
+    """Resample membership of every vertex of N[v] independently at rate p.
+
+    Draws one ``rng.random()`` per vertex of N[v] in increasing order and
+    returns the vertices whose membership changed, in that order.
+    """
+    flipped = []
     for u in sorted({v} | set(g.adj[v])):
-        if rng.random() < p:
-            chosen.add(u)
-        else:
-            chosen.discard(u)
+        inside = rng.random() < p
+        if inside != (u in chosen):
+            (chosen.add if inside else chosen.discard)(u)
+            flipped.append(u)
+    return flipped
 
 
 def default_lll_parameters(g: Graph, k: int) -> LLLParameters:
@@ -202,10 +215,13 @@ def lll_resample(
         raise GraphInputError(f"p must lie in (0, 1], got {params.p}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < params.p}
+    count = [(v in chosen) + sum(u in chosen for u in g.adj[v]) for v in range(g.n)]
+    violated = [v for v in range(g.n) if count[v] > k]  # sorted, hence a heap
     rounds = 0
     while rounds < max_rounds:
-        violated = _lowest_violated(g, chosen, k)
-        if violated is None:
+        while violated and count[violated[0]] <= k:
+            heapq.heappop(violated)
+        if not violated:
             size_ok = len(chosen) >= (1.0 - params.epsilon2) * g.n * params.p
             return RandomRunReport(
                 packing=Packing(k, frozenset(chosen)),
@@ -217,7 +233,12 @@ def lll_resample(
                 params=params,
             )
         rounds += 1
-        resample_step(g, chosen, violated, params.p, rng)
+        for u in resample_step(g, chosen, violated[0], params.p, rng):
+            delta = 1 if u in chosen else -1
+            for w in (u, *g.adj[u]):
+                count[w] += delta
+                if delta > 0 and count[w] == k + 1:
+                    heapq.heappush(violated, w)
     return RandomRunReport(
         packing=Packing(k, frozenset(chosen)),
         rounds=rounds,
@@ -227,11 +248,3 @@ def lll_resample(
         size_target_met=None,
         params=params,
     )
-
-
-def _lowest_violated(g: Graph, chosen: set[int], k: int) -> Optional[int]:
-    for v in range(g.n):
-        count = (v in chosen) + sum(1 for u in g.adj[v] if u in chosen)
-        if count >= k + 1:
-            return v
-    return None

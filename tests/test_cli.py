@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -84,6 +85,46 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--k", "1", "/nonexistent/file.graph")
     assert code == 3
+
+
+def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    """A rule that breaks the construction's invariant is exit 4, not 1 or 3."""
+    import limpack.cubic
+
+    monkeypatch.setattr(limpack.cubic, "_solve_component", lambda st, comp, steps: set())
+    path = write_graph(tmp_path, "p.graph", gen_named("petersen"))
+    code, stdout, err = run_cli(capsys, "construct", "--method", "cubic2", "--k", "2", path)
+    assert code == 4
+    assert stdout == ""
+    assert err.startswith("error: internal error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_pipe_exits_141(unbuffered):
+    """`limpack bench | head` must not print a traceback or claim exit 1.
+
+    The read end of the pipe is closed before the CLI starts, so every
+    write fails: unbuffered output fails inside the command, buffered
+    output at the final flush.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "limpack.cli", "bench", "--suite", "paper", "--no-timing"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141
+    assert out.stderr == b""
 
 
 def test_verify_pipeline_valid(tmp_path, capsys):

@@ -1,0 +1,118 @@
+"""Differential test: the pairing generator and the randomized constructors
+against frozen copies of the seed implementations.
+
+The Fenwick-tree generator and the count/heap resampler must draw the same
+random numbers in the same order as ``reference_randomized``, so every
+seeded output matches exactly: edge lists (dead-end restarts included),
+vertex sets, rounds, repairs and success flags.
+"""
+
+import random
+
+import pytest
+import reference_randomized as ref
+
+from limpack import (
+    Graph,
+    LLLParameters,
+    degree_stats,
+    gen_cycle,
+    gen_named,
+    gen_random_regular,
+    lll_resample,
+    sample_and_repair,
+    verify_k_limited,
+)
+from limpack.generators import _pairing_attempt
+
+
+def _first_success(attempt, n: int, r: int, seed: int):
+    """The first complete pairing of the seeded stream and the dead ends before it."""
+    rng = random.Random(seed)
+    for dead_ends in range(1000):
+        edges = attempt(n, r, rng)
+        if edges is not None:
+            return edges, dead_ends
+    raise AssertionError(f"no pairing for n={n}, r={r}, seed={seed}")
+
+
+@pytest.mark.parametrize(
+    "n, r, seeds", [(10, 3, 40), (12, 2, 30), (60, 3, 20), (200, 10, 3), (8, 5, 10)]
+)
+def test_pairing_matches_reference(n, r, seeds):
+    restarts = 0
+    for seed in range(seeds):
+        edges, dead_ends = _first_success(_pairing_attempt, n, r, seed)
+        assert (edges, dead_ends) == _first_success(ref._pairing_attempt, n, r, seed)
+        assert gen_random_regular(n, r, seed) == Graph.from_edges(n, edges)
+        restarts += dead_ends
+    assert restarts > 0  # every case runs through the dead-end restart path
+
+
+GRAPHS = [
+    pytest.param(g, id=name)
+    for name, g in [
+        ("c6", gen_cycle(6)),
+        ("k4", gen_named("k4")),
+        ("petersen", gen_named("petersen")),
+        ("star", Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])),
+        ("cubic60", ref.gen_random_regular(60, 3, seed=1)),
+        ("reg4_100", ref.gen_random_regular(100, 4, seed=2)),
+        ("reg10_200", ref.gen_random_regular(200, 10, seed=0)),
+    ]
+]
+
+
+def _lll(g, k, **kwargs):
+    report = lll_resample(g, k, **kwargs)
+    return report.packing.vertices, report.rounds, report.success, report.size_target_met
+
+
+@pytest.mark.parametrize("g", GRAPHS)
+def test_lll_resample_matches_reference(g):
+    for k in range(1, degree_stats(g).max_degree + 3):
+        for seed in range(3):
+            for max_rounds in (3, 100_000):
+                got = _lll(g, k, seed=seed, max_rounds=max_rounds)
+                assert got == ref.lll_resample(g, k, seed=seed, max_rounds=max_rounds)
+
+
+@pytest.mark.parametrize("g", GRAPHS)
+@pytest.mark.parametrize("p", [0.6, 1.0])
+def test_lll_resample_explicit_params_match_reference(g, p):
+    params = LLLParameters(0.5, 0.5, p, True)
+    outcomes = set()
+    for k in range(1, degree_stats(g).max_degree + 3):
+        for seed in range(2):
+            got = _lll(g, k, params=params, seed=seed, max_rounds=200)
+            assert got == ref.lll_resample(g, k, params=params, seed=seed, max_rounds=200)
+            outcomes.add(got[2])
+    if p == 1.0:
+        # X = V throughout: exhausted for k up to the maximum degree, done above it
+        assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("g", GRAPHS)
+def test_sample_and_repair_matches_reference(g):
+    for k in range(1, degree_stats(g).max_degree + 2):
+        for p in ("auto", 0.5, 1.0):
+            for seed in range(3):
+                report = sample_and_repair(g, k, p=p, seed=seed)
+                got = (report.packing.vertices, report.repairs)
+                assert got == ref.sample_and_repair(g, k, p=p, seed=seed)
+
+
+def test_scale_smoke():
+    """Sizes the quadratic seed code needed minutes for; no timing asserted."""
+    g = gen_random_regular(100_000, 3, seed=1)
+    stats = degree_stats(g)
+    assert (stats.min_degree, stats.max_degree, g.m) == (3, 3, 150_000)
+    assert verify_k_limited(g, frozenset(range(g.n)), 4).valid
+    report = lll_resample(g, 2, seed=1)
+    assert report.success
+    assert verify_k_limited(g, report.packing.vertices, 2).valid
+
+    h = gen_random_regular(20_000, 10, seed=1)
+    report = lll_resample(h, 5, seed=1)
+    assert report.success
+    assert verify_k_limited(h, report.packing.vertices, 5).valid
