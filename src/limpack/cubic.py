@@ -1,16 +1,22 @@
 """Constructive 2-limited sets of size >= n/3 on typed multigraphs of max degree 3.
 
-The construction mirrors an induction on the vertex count.  Components
-are handled independently.  Tiny components are base cases; an all-c
-component is 3-colored (Brooks) and the largest color class taken.  A
-six-vertex pattern (an almost-complete c-K4 with a pendant path, called
-configuration A here) is eliminated first because its absence guarantees
-that the later rules can add c-edges without ever completing a K4 of
-c-edges, except in a handful of explicitly handled special subcases.
-The remaining rules peel off a vertex of one or two distinct neighbors,
-or a d-edge lying in two, one, or zero triangles, each time removing at
-least two vertices while contributing at least a third of them to the
-output, so the whole run is polynomial.
+The construction follows an induction on the vertex count, run as one
+loop over a worklist of components on a single state that each step
+reduces in place.  Each step applies one rule to the lowest pending
+component, removes the vertices the rule names, adds its c-edges, and
+pushes the pieces left of the component so that the lowest is reduced
+next; the steps come out in the order the induction visits them.
+
+Tiny components are base cases; an all-c component is 3-colored (Brooks)
+and the largest color class taken.  A six-vertex pattern (an
+almost-complete c-K4 with a pendant path, called configuration A here)
+is eliminated first because its absence guarantees that the later rules
+can add c-edges without ever completing a K4 of c-edges, except in a
+handful of explicitly handled special subcases.  The remaining rules peel
+off a vertex of one or two distinct neighbors, or a d-edge lying in two,
+one, or zero triangles, each time removing at least two vertices while
+contributing at least a third of them to the output, so the whole run is
+polynomial.
 
 Plain graphs of max degree 3 can be promoted with all edges typed d
 (TypedMultigraph.from_graph) and fed through construct_two_limited to
@@ -21,10 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import InternalError, PreconditionError
-from .graph import Graph, TypedMultigraph, connected_components, degree_stats
+from .graph import (
+    Graph,
+    TypedMultigraph,
+    components_within,
+    connected_components,
+    degree_stats,
+)
 from .verify import verify_typed_two_limited
 
 
@@ -66,22 +78,13 @@ class ConfigurationA:
 
 
 class _State:
-    """Mutable working copy of a typed multigraph, original indices kept."""
+    """Adjacency of a typed multigraph, original indices kept, reduced in place."""
 
-    __slots__ = ("verts", "cadj", "dadj")
+    __slots__ = ("cadj", "dadj")
 
-    def __init__(self, verts: set[int], cadj: dict[int, set[int]], dadj: dict[int, set[int]]):
-        self.verts = verts
-        self.cadj = cadj
-        self.dadj = dadj
-
-    @staticmethod
-    def from_typed(tm: TypedMultigraph) -> "_State":
-        return _State(
-            set(range(tm.n)),
-            {v: set(tm.c_adj[v]) for v in range(tm.n)},
-            {v: set(tm.d_adj[v]) for v in range(tm.n)},
-        )
+    def __init__(self, tm: TypedMultigraph):
+        self.cadj = [set(nbrs) for nbrs in tm.c_adj]
+        self.dadj = [set(nbrs) for nbrs in tm.d_adj]
 
     def neighbors(self, v: int) -> set[int]:
         return self.cadj[v] | self.dadj[v]
@@ -89,37 +92,25 @@ class _State:
     def degree(self, v: int) -> int:
         return len(self.cadj[v]) + len(self.dadj[v])
 
-    def induced(self, keep: set[int]) -> "_State":
-        return _State(
-            set(keep),
-            {v: self.cadj[v] & keep for v in keep},
-            {v: self.dadj[v] & keep for v in keep},
-        )
-
-    def without(self, removed: set[int]) -> "_State":
-        return self.induced(self.verts - removed)
+    def remove(self, vertices: Iterable[int]) -> None:
+        """Delete every edge incident to `vertices`, leaving them isolated."""
+        for v in vertices:
+            for x in self.cadj[v]:
+                self.cadj[x].discard(v)
+            for x in self.dadj[v]:
+                self.dadj[x].discard(v)
+            self.cadj[v].clear()
+            self.dadj[v].clear()
 
     def add_c_edge(self, u: int, v: int) -> None:
         self.cadj[u].add(v)
         self.cadj[v].add(u)
 
-    def components(self) -> list[list[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in sorted(self.verts):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                w = stack.pop()
-                for x in self.neighbors(w):
-                    if x not in comp:
-                        comp.add(x)
-                        stack.append(x)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
+
+# What one reduction does to its component: the rule name, the vertices
+# it removes, the c-edges it adds between survivors, and the vertices it
+# contributes to the output.
+_Step = tuple[str, set[int], list[tuple[int, int]], set[int]]
 
 
 def construct_two_limited(tm: TypedMultigraph) -> tuple[frozenset[int], ReductionTrace]:
@@ -132,14 +123,34 @@ def construct_two_limited(tm: TypedMultigraph) -> tuple[frozenset[int], Reductio
     for v in range(tm.n):
         if tm.degree(v) > 3:
             raise PreconditionError(f"vertex {v} has degree {tm.degree(v)} > 3")
-    st = _State.from_typed(tm)
+    st = _State(tm)
     bad = _find_all_c_k4(st)
     if bad is not None:
         raise PreconditionError(
             f"component {sorted(bad)} is a K4 consisting entirely of c-edges"
         )
     steps: list[ReductionStep] = []
-    chosen = _solve(st, steps)
+    chosen: set[int] = set()
+    # pieces are pushed in reverse so the lowest is reduced next: the
+    # induction's depth-first order
+    stack = components_within(st.neighbors, range(tm.n))[::-1]
+    while stack:
+        comp = stack.pop()
+        rule, removed, added, pick = _reduce_component(st, comp)
+        steps.append(
+            ReductionStep(
+                rule,
+                tuple(sorted(removed)),
+                tuple(sorted(tuple(sorted(e)) for e in added)),
+                tuple(sorted(pick)),
+            )
+        )
+        chosen |= pick
+        st.remove(removed)
+        for x, y in added:
+            st.add_c_edge(x, y)
+        rest = [v for v in comp if v not in removed]
+        stack += components_within(st.neighbors, rest)[::-1]
     report = verify_typed_two_limited(tm, chosen)
     if not report.valid or 3 * len(chosen) < tm.n:
         raise InternalError(
@@ -150,73 +161,42 @@ def construct_two_limited(tm: TypedMultigraph) -> tuple[frozenset[int], Reductio
 
 def find_configuration_a(tm: TypedMultigraph) -> Optional[ConfigurationA]:
     """First occurrence of configuration A in lexicographic search order."""
-    return _find_config_a(_State.from_typed(tm))
+    return _find_config_a(_State(tm), range(tm.n))
 
 
-def _solve(st: _State, steps: list[ReductionStep]) -> set[int]:
-    chosen: set[int] = set()
-    comps = st.components()
-    if len(comps) == 1:
-        return _solve_component(st, comps[0], steps)
-    for comp in comps:
-        chosen |= _solve_component(st.induced(set(comp)), comp, steps)
-    return chosen
-
-
-def _record(
-    steps: list[ReductionStep],
-    rule: str,
-    removed,
-    added,
-    contributed,
-) -> None:
-    steps.append(
-        ReductionStep(
-            rule,
-            tuple(sorted(removed)),
-            tuple(sorted(tuple(sorted(e)) for e in added)),
-            tuple(sorted(contributed)),
-        )
-    )
-
-
-def _solve_component(st: _State, comp: list[int], steps: list[ReductionStep]) -> set[int]:
+def _reduce_component(st: _State, comp: list[int]) -> _Step:
+    """The reduction the induction applies to connected component `comp`."""
     n = len(comp)
 
     # base cases: any single vertex for n <= 3; for n = 4 any pair not
     # joined by a c-edge (such a pair exists, all-c K4s are excluded)
     if n <= 3:
-        pick = {comp[0]}
-        _record(steps, "base-case", comp, (), pick)
-        return pick
+        return "base-case", set(comp), [], {comp[0]}
     if n == 4:
         for u, v in combinations(comp, 2):
             if v not in st.cadj[u]:
-                _record(steps, "base-case", comp, (), (u, v))
-                return {u, v}
+                return "base-case", set(comp), [], {u, v}
         raise InternalError("internal error: all-c K4 component reached the base case")
 
     # all edges c: 3-color and take the largest color class
     if all(not st.dadj[v] for v in comp):
-        return _brooks_class(st, comp, steps)
+        return _brooks_class(st, comp)
 
-    cfg = _find_config_a(st)
+    cfg = _find_config_a(st, comp)
     if cfg is not None:
         removed = {cfg.a, cfg.b, cfg.c, cfg.d, cfg.u, cfg.v}
-        _record(steps, "configuration-A", removed, (), (cfg.b, cfg.d))
-        rest = _solve(st.without(removed), steps)
-        return rest | {cfg.b, cfg.d}
+        return "configuration-A", removed, [], {cfg.b, cfg.d}
 
-    step = _reduce_degree_one(st, comp, steps)
+    step = _reduce_degree_one(st, comp)
     if step is None:
-        step = _reduce_degree_two(st, comp, steps)
+        step = _reduce_degree_two(st, comp)
     if step is None:
         _assert_simple_cubic(st, comp)
-        step = _reduce_d_edge(st, comp, steps)
+        step = _reduce_d_edge(st, comp)
     return step
 
 
-def _brooks_class(st: _State, comp: list[int], steps: list[ReductionStep]) -> set[int]:
+def _brooks_class(st: _State, comp: list[int]) -> _Step:
     index = {v: i for i, v in enumerate(comp)}
     sub = Graph.from_edges(
         len(comp),
@@ -227,14 +207,10 @@ def _brooks_class(st: _State, comp: list[int], steps: list[ReductionStep]) -> se
     for v in comp:
         classes[coloring[index[v]]].append(v)
     best = max((0, 1, 2), key=lambda c: (len(classes[c]), -c))
-    pick = set(classes[best])
-    _record(steps, "brooks", comp, (), pick)
-    return pick
+    return "brooks", set(comp), [], set(classes[best])
 
 
-def _reduce_degree_one(
-    st: _State, comp: list[int], steps: list[ReductionStep]
-) -> Optional[set[int]]:
+def _reduce_degree_one(st: _State, comp: list[int]) -> Optional[_Step]:
     """Vertex u adjacent to a single other vertex v: remove {u, v}, add the
     c-edge between v's other two neighbors only when the proof needs it."""
     for u in comp:
@@ -256,11 +232,7 @@ def _reduce_degree_one(
         removed = {u, v}
         if added and _c_k4_completions(st, added, removed):
             raise InternalError("internal error: degree-1 c-edge completed a K4")
-        _record(steps, "degree-1", removed, added, (u,))
-        nxt = st.without(removed)
-        for x, y in added:
-            nxt.add_c_edge(x, y)
-        return _solve(nxt, steps) | {u}
+        return "degree-1", removed, added, {u}
     return None
 
 
@@ -286,9 +258,7 @@ def _needed_pair(
     return None
 
 
-def _reduce_degree_two(
-    st: _State, comp: list[int], steps: list[ReductionStep]
-) -> Optional[set[int]]:
+def _reduce_degree_two(st: _State, comp: list[int]) -> Optional[_Step]:
     """Vertex u adjacent to exactly two others v, w: remove the three, add
     c-edges between each removed neighbor's surviving pair as needed.
 
@@ -314,14 +284,8 @@ def _reduce_degree_two(
                 raise InternalError("internal error: single degree-2 c-edge completed a K4")
             if len(comp) != 7:
                 raise InternalError("internal error: degree-2 double K4 outside 7 vertices")
-            pick = {pair_v[0], pair_v[1], w}
-            _record(steps, "degree-2-c-k4", comp, (), pick)
-            return pick
-        _record(steps, "degree-2", removed, added, (u,))
-        nxt = st.without(removed)
-        for x, y in added:
-            nxt.add_c_edge(x, y)
-        return _solve(nxt, steps) | {u}
+            return "degree-2-c-k4", set(comp), [], {pair_v[0], pair_v[1], w}
+        return "degree-2", removed, added, {u}
     return None
 
 
@@ -335,7 +299,7 @@ def _assert_simple_cubic(st: _State, comp: list[int]) -> None:
             )
 
 
-def _reduce_d_edge(st: _State, comp: list[int], steps: list[ReductionStep]) -> set[int]:
+def _reduce_d_edge(st: _State, comp: list[int]) -> _Step:
     """Eliminate a d-edge uv, preferring one in two triangles, then one
     triangle, then none; the graph here is simple, 3-regular, and has a
     d-edge (an all-c component would have been 3-colored instead)."""
@@ -347,29 +311,24 @@ def _reduce_d_edge(st: _State, comp: list[int], steps: list[ReductionStep]) -> s
     for u, v in d_edges:
         common = sorted(st.neighbors(u) & st.neighbors(v))
         if len(common) == 2:
-            return _two_triangles(st, u, v, common, steps)
+            return _two_triangles(st, u, v, common)
         if len(common) == 1 and one_triangle is None:
             one_triangle = (u, v, common[0])
     if one_triangle is not None:
-        return _one_triangle(st, *one_triangle, steps)
+        return _one_triangle(st, *one_triangle)
     u, v = d_edges[0]
-    return _no_triangle(st, u, v, steps)
+    return _no_triangle(st, u, v, comp)
 
 
-def _two_triangles(
-    st: _State, u: int, v: int, common: list[int], steps: list[ReductionStep]
-) -> set[int]:
+def _two_triangles(st: _State, u: int, v: int, common: list[int]) -> _Step:
     b, c = common
     removed = {u, v, b, c}
     removed |= st.neighbors(b) - {u, v}
     removed |= st.neighbors(c) - {u, v}
-    _record(steps, "d-edge-two-triangles", removed, (), (u, v))
-    return _solve(st.without(removed), steps) | {u, v}
+    return "d-edge-two-triangles", removed, [], {u, v}
 
 
-def _one_triangle(
-    st: _State, u: int, v: int, w: int, steps: list[ReductionStep]
-) -> set[int]:
+def _one_triangle(st: _State, u: int, v: int, w: int) -> _Step:
     (a,) = st.neighbors(u) - {v, w}
     (b,) = st.neighbors(v) - {u, w}
     removed = {u, v, w, a, b} | (st.neighbors(w) - {u, v})
@@ -389,16 +348,11 @@ def _one_triangle(
         # {a, b, u, v, w} and take pair(a) plus b
         removed_special = set(k4) | {a, b, u, v, w}
         pick = {pair_a[0], pair_a[1], b}
-        _record(steps, "d-edge-one-triangle-c-k4", removed_special, (), pick)
-        return _solve(st.without(removed_special), steps) | pick
-    _record(steps, "d-edge-one-triangle", removed, added, (u, v))
-    nxt = st.without(removed)
-    for x, y in added:
-        nxt.add_c_edge(x, y)
-    return _solve(nxt, steps) | {u, v}
+        return "d-edge-one-triangle-c-k4", removed_special, [], pick
+    return "d-edge-one-triangle", removed, added, {u, v}
 
 
-def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[int]:
+def _no_triangle(st: _State, u: int, v: int, comp: list[int]) -> _Step:
     a, b = sorted(st.neighbors(u) - {v})
     c, d = sorted(st.neighbors(v) - {u})
     parents = [a, b, c, d]
@@ -414,11 +368,7 @@ def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[
             added.append(need[z])
     k4s = _c_k4_completions(st, added, removed)
     if not k4s:
-        _record(steps, "d-edge-no-triangle", removed, added, (u, v))
-        nxt = st.without(removed)
-        for x, y in added:
-            nxt.add_c_edge(x, y)
-        return _solve(nxt, steps) | {u, v}
+        return "d-edge-no-triangle", removed, added, {u, v}
 
     k4s.sort(key=lambda item: (len(item[1]), sorted(item[0])))
     k4, inside = k4s[0]
@@ -430,8 +380,7 @@ def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[
         x, y = involved
         removed_special = set(k4) | {x, y, u, v}
         pick = {need[x][0], need[x][1], y}
-        _record(steps, "d-edge-no-triangle-c-k4-pair", removed_special, (), pick)
-        return _solve(st.without(removed_special), steps) | pick
+        return "d-edge-no-triangle-c-k4-pair", removed_special, [], pick
     if len(inside) == 3:
         x, y = involved[0], involved[1]
         leftover = next(z for z in parents if z not in involved)
@@ -443,22 +392,17 @@ def _no_triangle(st: _State, u: int, v: int, steps: list[ReductionStep]) -> set[
             extra.append(pair_left)
         if extra and _c_k4_completions(st, extra, removed_special):
             raise InternalError("internal error: leftover c-edge completed a K4")
-        _record(steps, "d-edge-no-triangle-c-k4-triple", removed_special, extra, pick)
-        nxt = st.without(removed_special)
-        for x2, y2 in extra:
-            nxt.add_c_edge(x2, y2)
-        return _solve(nxt, steps) | pick
+        return "d-edge-no-triangle-c-k4-triple", removed_special, extra, pick
     # all four added edges in one K4: the component is exactly these 10
     # vertices and the four middle vertices form the 2-limited set
-    if len(st.verts) != 10:
+    if len(comp) != 10:
         raise InternalError("internal error: quadruple K4 completion outside 10 vertices")
-    pick = {a, b, c, d}
-    _record(steps, "d-edge-no-triangle-c-k4-quad", set(k4) | removed, (), pick)
-    return pick
+    return "d-edge-no-triangle-c-k4-quad", set(k4) | removed, [], {a, b, c, d}
 
 
-def _find_config_a(st: _State) -> Optional[ConfigurationA]:
-    for c in sorted(st.verts):
+def _find_config_a(st: _State, verts: Iterable[int]) -> Optional[ConfigurationA]:
+    """First configuration A whose vertex c lies in `verts` (ascending)."""
+    for c in verts:
         for a in sorted(st.cadj[c]):
             commons = sorted(st.cadj[c] & st.cadj[a])
             for d in commons:
@@ -510,7 +454,7 @@ def _c_k4_completions(
 def _find_all_c_k4(st: _State) -> Optional[set[int]]:
     """Any component that is a K4 made entirely of c-edges (degree <= 3
     makes four mutually c-adjacent vertices automatically a component)."""
-    for v in sorted(st.verts):
+    for v in range(len(st.cadj)):
         if len(st.cadj[v]) == 3 and not st.dadj[v]:
             x, y, z = sorted(st.cadj[v])
             if y in st.cadj[x] and z in st.cadj[x] and z in st.cadj[y]:
@@ -527,8 +471,7 @@ def brooks_three_coloring(g: Graph) -> tuple[int, ...]:
     exists, and otherwise colored by identifying a vertex v with two
     non-adjacent neighbors a, b whose joint removal keeps the component
     connected (a, b share a color, v is colored last).  The result is
-    checked; a failed component falls back to exhaustive search up to 24
-    vertices.
+    checked; an improper coloring raises InternalError.
     """
     stats = degree_stats(g)
     if stats.max_degree > 3:
@@ -540,8 +483,7 @@ def brooks_three_coloring(g: Graph) -> tuple[int, ...]:
             if colors[v] not in (0, 1, 2) or any(
                 colors[u] == colors[v] for u in g.adj[v]
             ):
-                _exhaustive_color(g, comp, colors)
-                break
+                raise InternalError(f"internal error: Brooks coloring of {comp} is not proper")
     return tuple(colors)
 
 
@@ -557,44 +499,31 @@ def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
         _reverse_bfs_color(g, comp_set, low[0], {}, colors)
         return
     for v in comp:
-        if not _connected_without(g, comp_set, {v}):
-            _split_at_cut_vertex(g, comp_set, v, colors)
+        pieces = components_within(g.neighbors, comp_set - {v})
+        if len(pieces) > 1:
+            _split_at_cut_vertex(g, pieces, v, colors)
             return
     for v in comp:
         nbrs = sorted(g.adj[v])
         for a, b in combinations(nbrs, 2):
-            if not g.has_edge(a, b) and _connected_without(g, comp_set, {a, b}):
+            if (
+                not g.has_edge(a, b)
+                and len(components_within(g.neighbors, comp_set - {a, b})) <= 1
+            ):
                 _reverse_bfs_color(g, comp_set - {a, b}, v, {a: 0, b: 0}, colors)
                 colors[a] = 0
                 colors[b] = 0
                 return
-    if len(comp) <= 24:
-        _exhaustive_color(g, comp, colors)
-        return
     raise InternalError("internal error: no Brooks decomposition found")
 
 
-def _split_at_cut_vertex(g: Graph, comp_set: set[int], cut: int, colors: list[int]) -> None:
-    rest = comp_set - {cut}
-    pieces: list[set[int]] = []
-    seen: set[int] = set()
-    for start in sorted(rest):
-        if start in seen:
-            continue
-        piece = {start}
-        stack = [start]
-        while stack:
-            w = stack.pop()
-            for x in g.adj[w]:
-                if x in rest and x not in piece:
-                    piece.add(x)
-                    stack.append(x)
-        seen |= piece
-        pieces.append(piece)
+def _split_at_cut_vertex(
+    g: Graph, pieces: list[list[int]], cut: int, colors: list[int]
+) -> None:
     for piece in pieces:
         # color the piece plus the cut vertex; the cut vertex has degree
         # <= 2 inside, so it can go last, then rename its color to 0
-        sub = piece | {cut}
+        sub = set(piece) | {cut}
         _reverse_bfs_color(g, sub, cut, {}, colors, restrict=sub)
         cut_color = colors[cut]
         if cut_color != 0:
@@ -638,48 +567,6 @@ def _reverse_bfs_color(
                 local[w] = color
                 break
         else:
-            local[w] = 3  # triggers the properness check and fallback
+            local[w] = 3  # cannot happen (see above); the properness check raises
     for w in order:
         colors[w] = local[w]
-
-
-def _connected_without(g: Graph, comp_set: set[int], removed: set[int]) -> bool:
-    left = comp_set - removed
-    if not left:
-        return True
-    start = min(left)
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for x in g.adj[w]:
-            if x in left and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return len(seen) == len(left)
-
-
-def _exhaustive_color(g: Graph, comp: list[int], colors: list[int]) -> None:
-    if len(comp) > 24:
-        raise InternalError("internal error: component too large for exhaustive coloring")
-    order = sorted(comp)
-    pos = {v: i for i, v in enumerate(order)}
-    assign: list[int] = [-1] * len(order)
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        used = {assign[pos[u]] for u in g.adj[v] if u in pos and pos[u] < i}
-        for color in (0, 1, 2):
-            if color not in used:
-                assign[i] = color
-                if backtrack(i + 1):
-                    return True
-        assign[i] = -1
-        return False
-
-    if not backtrack(0):
-        raise InternalError(f"internal error: component {comp} is not 3-colorable")
-    for v in comp:
-        colors[v] = assign[pos[v]]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import GraphInputError
 
@@ -175,25 +175,32 @@ def pairwise_distance(g: Graph, u: int, v: int) -> Optional[int]:
     return None
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest member."""
-    seen: set[int] = set()
+def components_within(
+    neighbors: Callable[[int], Iterable[int]], within: Iterable[int]
+) -> list[list[int]]:
+    """Components of the subgraph induced on `within`, as sorted vertex
+    lists ordered by smallest member; `neighbors(v)` lists v's neighbors."""
+    left = set(within)
     comps = []
-    for start in range(g.n):
-        if start in seen:
+    for start in sorted(left):
+        if start not in left:
             continue
+        left.discard(start)
         comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            for x in g.adj[w]:
-                if x not in seen:
-                    seen.add(x)
+        stack = [start]
+        while stack:
+            for x in neighbors(stack.pop()):
+                if x in left:
+                    left.discard(x)
                     comp.append(x)
-                    queue.append(x)
+                    stack.append(x)
         comps.append(sorted(comp))
     return comps
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Components as sorted vertex lists, ordered by smallest member."""
+    return components_within(g.neighbors, range(g.n))
 
 
 def parse_graph(text: str) -> Union[Graph, TypedMultigraph]:

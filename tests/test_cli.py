@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from limpack import gen_named, parse_graph, serialize_graph
+from limpack import gen_named, gen_random_regular, parse_graph, serialize_graph
 from limpack.cli import main
 
 
@@ -91,7 +91,9 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     """A rule that breaks the construction's invariant is exit 4, not 1 or 3."""
     import limpack.cubic
 
-    monkeypatch.setattr(limpack.cubic, "_solve_component", lambda st, comp, steps: set())
+    monkeypatch.setattr(
+        limpack.cubic, "_reduce_component", lambda st, comp: ("base-case", set(comp), [], set())
+    )
     path = write_graph(tmp_path, "p.graph", gen_named("petersen"))
     code, stdout, err = run_cli(capsys, "construct", "--method", "cubic2", "--k", "2", path)
     assert code == 4
@@ -189,6 +191,16 @@ def test_construct_all_methods_verify(tmp_path, capsys):
         ppath.write_text(witness + "\n")
         code, _, _ = run_cli(capsys, "verify", "--k", "2", "--packing", str(ppath), gpath)
         assert code == 0, method
+
+
+def test_construct_cubic2_large_cubic_graph(tmp_path, capsys):
+    """cubic2 at n = 1200 used to exceed the recursion limit and exit 1."""
+    gpath = write_graph(tmp_path, "cubic.graph", gen_random_regular(1200, 3, 1))
+    code, stdout, err = run_cli(capsys, "construct", "--method", "cubic2", "--k", "2", gpath)
+    assert code == 0
+    assert "Traceback" not in err
+    witness = stdout.splitlines()[-1].removeprefix("witness: ").split()
+    assert 3 * len(witness) >= 1200
 
 
 def test_construct_cubic2_requires_k2(tmp_path, capsys):

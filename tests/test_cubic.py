@@ -190,6 +190,11 @@ def test_exhaustive_subcubic_all_d():
             assert len(chosen) <= max_k_limited(g, 2).optimum
 
 
+def test_large_cubic_graph_at_default_recursion_limit():
+    # one reduction per recursion level used to overflow the stack here
+    check(all_d(gen_random_regular(1200, 3, 1)))
+
+
 def test_random_typed_multigraphs():
     for seed in range(120):
         n = 4 + (seed * 11) % 45
