@@ -8,7 +8,7 @@ precision, relative error well under 1e-12 at desk scale).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -84,26 +84,7 @@ class BoundSheet:
                 return str(v)
             return repr(v)
 
-        fields = [
-            ("n", self.n),
-            ("max_degree", self.max_degree),
-            ("min_degree", self.min_degree),
-            ("k", self.k),
-            ("avg_degree", self.avg_degree),
-            ("tuple_l", self.tuple_l),
-            ("exact_value", self.exact_value),
-            ("greedy_lower", self.greedy_lower),
-            ("random_lower", self.random_lower),
-            ("random_lower_alt", self.random_lower_alt),
-            ("random_lower_simple", self.random_lower_simple),
-            ("packing_upper", self.packing_upper),
-            ("double_dom_upper_avg", self.double_dom_upper_avg),
-            ("double_dom_upper_min", self.double_dom_upper_min),
-            ("double_dom_upper_useful", self.double_dom_upper_useful),
-            ("cubic_quarter_lower", self.cubic_quarter_lower),
-            ("cubic_l3_lower", self.cubic_l3_lower),
-        ]
-        return "\n".join(f"{name}: {fmt(value)}" for name, value in fields) + "\n"
+        return "".join(f"{f.name}: {fmt(getattr(self, f.name))}\n" for f in fields(self))
 
 
 def bound_sheet(

@@ -16,19 +16,11 @@ import os
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 from typing import Optional
 
 from .bounds import bound_sheet
 from .cubic import construct_two_limited
-from .errors import (
-    GraphInputError,
-    InfeasibleError,
-    InternalError,
-    LimpackError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import GraphInputError, InfeasibleError, InternalError, LimpackError
 from .generators import gen_cycle, gen_named, gen_projective, gen_random_regular
 from .graph import (
     Graph,
@@ -135,10 +127,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (GraphInputError, PreconditionError, ResourceLimitError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except LimpackError as exc:
+    # last: BrokenPipeError is an OSError, and the two above are LimpackErrors
+    except (LimpackError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -317,7 +307,7 @@ def _cmd_bench(args) -> int:
     print(header)
     for family, g, k in _bench_rows():
         stats = degree_stats(g)
-        upper = Fraction(k * g.n, stats.min_degree + 1)
+        upper = bound_sheet(g.n, stats.max_degree, stats.min_degree, k).packing_upper
         methods = [("exact", lambda: max_k_limited(g, k).optimum)]
         methods.append(("greedy", lambda: len(greedy_packing(g, k))))
         methods.append(

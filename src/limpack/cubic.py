@@ -524,7 +524,7 @@ def _split_at_cut_vertex(
         # color the piece plus the cut vertex; the cut vertex has degree
         # <= 2 inside, so it can go last, then rename its color to 0
         sub = set(piece) | {cut}
-        _reverse_bfs_color(g, sub, cut, {}, colors, restrict=sub)
+        _reverse_bfs_color(g, sub, cut, {}, colors)
         cut_color = colors[cut]
         if cut_color != 0:
             for v in sub:
@@ -541,14 +541,12 @@ def _reverse_bfs_color(
     root: int,
     pre: dict[int, int],
     colors: list[int],
-    restrict: Optional[set[int]] = None,
 ) -> None:
     """Greedy coloring in reverse BFS order (root last) within vertex_set.
 
     Precolored vertices (outside vertex_set) count as colored neighbors.
     Every non-root vertex still has its BFS parent uncolored when its
     turn comes, so 3 colors always suffice when deg(root) < 3 inside."""
-    scope = vertex_set if restrict is None else restrict
     order = [root]
     seen = {root}
     i = 0
@@ -561,7 +559,7 @@ def _reverse_bfs_color(
                 order.append(x)
     local: dict[int, int] = dict(pre)
     for w in reversed(order):
-        used = {local[x] for x in g.adj[w] if x in local and (x in scope or x in pre)}
+        used = {local[x] for x in g.adj[w] if x in local}
         for color in (0, 1, 2):
             if color not in used:
                 local[w] = color

@@ -141,6 +141,17 @@ def closed_neighborhood(g: Graph, v: int) -> set[int]:
     return {v} | set(g.neighbors(v))
 
 
+def closed_counts(adj: tuple[tuple[int, ...], ...], xs: Iterable[int]) -> list[int]:
+    """|N[v] ∩ X| for every vertex v, where N[v] is v plus its neighbors in
+    `adj`; each member of X must be a vertex.  O(|X|·Δ)."""
+    count = [0] * len(adj)
+    for x in xs:
+        count[x] += 1
+        for u in adj[x]:
+            count[u] += 1
+    return count
+
+
 def degree_stats(g: Graph) -> DegreeStats:
     """(max degree, min degree, n, m); an empty graph reports 0, 0, 0, 0."""
     if g.n == 0:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import GraphInputError
-from .graph import Graph, degree_stats
+from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
 
 
@@ -215,7 +215,7 @@ def lll_resample(
         raise GraphInputError(f"p must lie in (0, 1], got {params.p}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < params.p}
-    count = [(v in chosen) + sum(u in chosen for u in g.adj[v]) for v in range(g.n)]
+    count = closed_counts(g.adj, chosen)
     violated = [v for v in range(g.n) if count[v] > k]  # sorted, hence a heap
     rounds = 0
     while rounds < max_rounds:

@@ -52,10 +52,7 @@ def max_k_limited(g: Graph, k: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) ->
     """Largest k-limited packing of g, with a verifying witness."""
     if k < 1:
         raise GraphInputError(f"k must be positive, got {k}")
-    _check_size(g.n, vertex_limit)
-    constraints = [([v] + list(g.adj[v]), k) for v in range(g.n)]
-    order = _branch_order(g)
-    return _maximize(g.n, constraints, order)
+    return _max_limited(TypedMultigraph.from_graph(g), k, vertex_limit)
 
 
 def max_typed_two_limited(
@@ -66,16 +63,7 @@ def max_typed_two_limited(
     Same engine as max_k_limited: each c-edge is an at-most-1 constraint
     and each closed d-neighborhood an at-most-2 constraint.
     """
-    _check_size(tm.n, vertex_limit)
-    constraints: list[tuple[list[int], int]] = []
-    for u in range(tm.n):
-        for v in tm.c_adj[u]:
-            if u < v:
-                constraints.append(([u, v], 1))
-    for v in range(tm.n):
-        constraints.append(([v] + list(tm.d_adj[v]), 2))
-    order = sorted(range(tm.n), key=lambda v: (-tm.degree(v), v))
-    return _maximize(tm.n, constraints, order)
+    return _max_limited(tm, 2, vertex_limit)
 
 
 def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SolveResult:
@@ -94,9 +82,9 @@ def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LI
                 f"no {l}-tuple dominating set exists: some vertex has only"
                 f" {stats.min_degree + 1} vertices in its closed neighborhood"
             )
-    constraints = [([v] + list(g.adj[v]), l) for v in range(g.n)]
-    order = _branch_order(g)
-    return _minimize(g.n, constraints, order, l)
+    closed = [[v, *nbrs] for v, nbrs in enumerate(g.adj)]
+    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    return _minimize(g.n, closed, order, l)
 
 
 def enumerate_oracle(
@@ -136,10 +124,6 @@ def enumerate_oracle(
     raise GraphInputError(f"unknown oracle mode {mode!r} (packing or domination)")
 
 
-def _branch_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-
-
 def _check_size(n: int, vertex_limit: int) -> None:
     if n > vertex_limit:
         raise ResourceLimitError(
@@ -148,20 +132,36 @@ def _check_size(n: int, vertex_limit: int) -> None:
         )
 
 
+def _max_limited(tm: TypedMultigraph, cap: int, vertex_limit: int) -> SolveResult:
+    """Largest X with at most 1 member on each c-edge and at most `cap` in
+    each closed d-neighborhood, branching on vertices by descending degree."""
+    _check_size(tm.n, vertex_limit)
+    constraints = [[u, v] for u in range(tm.n) for v in tm.c_adj[u] if u < v]
+    caps = [1] * len(constraints) + [cap] * tm.n
+    constraints += [[v, *nbrs] for v, nbrs in enumerate(tm.d_adj)]
+    order = sorted(range(tm.n), key=lambda v: (-tm.degree(v), v))
+    return _maximize(tm.n, constraints, caps, order)
+
+
+def _membership(n: int, constraints: list[list[int]]) -> list[list[int]]:
+    """For every vertex, the indices of the constraints it belongs to."""
+    cons_of: list[list[int]] = [[] for _ in range(n)]
+    for idx, members in enumerate(constraints):
+        for v in members:
+            cons_of[v].append(idx)
+    return cons_of
+
+
 def _maximize(
-    n: int, constraints: list[tuple[list[int], int]], order: list[int]
+    n: int, constraints: list[list[int]], caps: list[int], order: list[int]
 ) -> SolveResult:
     """Branch and bound for the largest set within every constraint's cap.
 
     Every vertex must lie in at least one constraint, so `fewest` below is
     never 0.
     """
-    caps = [limit for _, limit in constraints]
-    cons_of: list[list[int]] = [[] for _ in range(n)]
-    for idx, (members, _) in enumerate(constraints):
-        for v in members:
-            cons_of[v].append(idx)
-    cons_in_order = [cons_of[v] for v in order]
+    cons_of = _membership(n, constraints)
+    cons_from_last = [cons_of[v] for v in reversed(order)]
     # live_at[c] == nodes marks constraint c as counted in the current node's bound
     live_at = [0] * len(constraints)
 
@@ -169,9 +169,6 @@ def _maximize(
     best_set: list[int] = []
     chosen: list[int] = []
     nodes = 0
-
-    def selectable(v: int) -> bool:
-        return all(caps[c] >= 1 for c in cons_of[v])
 
     def rec(pos: int) -> None:
         nonlocal best_size, best_set, nodes
@@ -186,11 +183,14 @@ def _maximize(
         # its constraints (at least `fewest` of them, all counted in cap_sum),
         # so at most cap_sum // fewest more vertices fit.  Caps never go
         # negative, so a vertex is selectable when none of its caps is 0.
+        # The scan runs from the last undecided vertex back to order[pos],
+        # so `selectable` ends holding the test for order[pos].
         addable = 0
         cap_sum = 0
         fewest = len(caps)
-        for cs in cons_in_order[pos:]:
-            if 0 not in [caps[c] for c in cs]:
+        for cs in cons_from_last[: n - pos]:
+            selectable = 0 not in [caps[c] for c in cs]
+            if selectable:
                 addable += 1
                 if len(cs) < fewest:
                     fewest = len(cs)
@@ -201,7 +201,7 @@ def _maximize(
         if len(chosen) + min(addable, cap_sum // fewest) <= best_size:
             return
         v = order[pos]
-        if selectable(v):
+        if selectable:
             chosen.append(v)
             for c in cons_of[v]:
                 caps[c] -= 1
@@ -215,15 +215,12 @@ def _maximize(
     return SolveResult(best_size, tuple(best_set), nodes)
 
 
-def _minimize(
-    n: int, constraints: list[tuple[list[int], int]], order: list[int], l: int
-) -> SolveResult:
+def _minimize(n: int, constraints: list[list[int]], order: list[int], l: int) -> SolveResult:
+    """Branch and bound for the smallest set with at least l members in
+    every constraint."""
     covered = [0] * len(constraints)
-    undecided = [len(members) for members, _ in constraints]
-    cons_of: list[list[int]] = [[] for _ in range(n)]
-    for idx, (members, _) in enumerate(constraints):
-        for v in members:
-            cons_of[v].append(idx)
+    undecided = [len(members) for members in constraints]
+    cons_of = _membership(n, constraints)
     most = max((len(cs) for cs in cons_of), default=1)
 
     # the full vertex set is feasible (l <= min_degree + 1 was checked)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import GraphInputError, PreconditionError
-from .graph import Graph, TypedMultigraph
+from .graph import Graph, TypedMultigraph, closed_counts
 
 Violation = Union["VertexViolation", "CEdgeViolation"]
 
@@ -76,41 +76,33 @@ def verify_k_limited(g: Graph, vertices: Iterable[int], k: int) -> VerificationR
     """Check |N[v] ∩ X| <= k for every vertex, listing all offenders."""
     if k < 1:
         raise GraphInputError(f"k must be positive, got {k}")
-    xs = _check_subset(vertices, g.n)
-    violations = []
-    for v in range(g.n):
-        count = (v in xs) + sum(1 for u in g.adj[v] if u in xs)
-        if count > k:
-            violations.append(VertexViolation(v, count, k))
-    return VerificationReport(not violations, tuple(violations))
+    return _verify_limited(TypedMultigraph.from_graph(g), vertices, k)
 
 
 def verify_typed_two_limited(tm: TypedMultigraph, vertices: Iterable[int]) -> VerificationReport:
     """Check the typed 2-limited conditions; c-edge and d-neighborhood
     violations are reported separately (c-edges first)."""
-    xs = _check_subset(vertices, tm.n)
-    violations: list[Violation] = []
-    for u in range(tm.n):
-        for v in tm.c_adj[u]:
-            if u < v and u in xs and v in xs:
-                violations.append(CEdgeViolation(u, v))
-    for v in range(tm.n):
-        count = (v in xs) + sum(1 for u in tm.d_adj[v] if u in xs)
-        if count > 2:
-            violations.append(VertexViolation(v, count, 2))
-    return VerificationReport(not violations, tuple(violations))
+    return _verify_limited(tm, vertices, 2)
 
 
 def verify_tuple_dominating(g: Graph, vertices: Iterable[int], l: int) -> VerificationReport:
     """Check |N[v] ∩ D| >= l for every vertex."""
     if l < 1:
         raise GraphInputError(f"l must be positive, got {l}")
-    ds = _check_subset(vertices, g.n)
-    violations = []
-    for v in range(g.n):
-        count = (v in ds) + sum(1 for u in g.adj[v] if u in ds)
-        if count < l:
-            violations.append(VertexViolation(v, count, l))
+    counts = closed_counts(g.adj, _check_subset(vertices, g.n))
+    violations = tuple(VertexViolation(v, c, l) for v, c in enumerate(counts) if c < l)
+    return VerificationReport(not violations, violations)
+
+
+def _verify_limited(tm: TypedMultigraph, vertices: Iterable[int], cap: int) -> VerificationReport:
+    """List the c-edges inside X in ascending order, then every vertex whose
+    closed d-neighborhood holds more than `cap` members of X."""
+    xs = _check_subset(vertices, tm.n)
+    violations: list[Violation] = [
+        CEdgeViolation(u, v) for u in sorted(xs) for v in tm.c_adj[u] if u < v and v in xs
+    ]
+    counts = closed_counts(tm.d_adj, xs)
+    violations += [VertexViolation(v, c, cap) for v, c in enumerate(counts) if c > cap]
     return VerificationReport(not violations, tuple(violations))
 
 

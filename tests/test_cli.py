@@ -87,6 +87,35 @@ def test_solve_missing_file(capsys):
     assert code == 3
 
 
+def test_solve_directory_exits_three(tmp_path, capsys):
+    code, stdout, err = run_cli(capsys, "solve", "--k", "1", str(tmp_path))
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--k", "1"],
+        ["construct", "--method", "cubic2", "--k", "2"],
+        ["construct", "--method", "greedy", "--k", "1"],
+        ["bounds", "--k", "2"],
+        ["verify", "--k", "2", "--packing", "PACKING"],
+    ],
+)
+def test_graph_file_not_utf8_exits_three(tmp_path, capsys, argv):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"3 1\n0 1\n# caf\xe9\n")
+    packing = tmp_path / "pack.txt"
+    packing.write_text("0\n")
+    argv = [str(packing) if a == "PACKING" else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv, str(path))
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     """A rule that breaks the construction's invariant is exit 4, not 1 or 3."""
     import limpack.cubic
