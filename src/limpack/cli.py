@@ -127,6 +127,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory: instance over a size limit", file=sys.stderr)
+        return 3
     # last: BrokenPipeError is an OSError, and the two above are LimpackErrors
     except (LimpackError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,11 @@ obtain a plain 2-limited packing of size >= n/3.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import InternalError, PreconditionError
 from .graph import (
@@ -77,34 +79,271 @@ class ConfigurationA:
     v: int
 
 
-class _State:
-    """Adjacency of a typed multigraph, original indices kept, reduced in place."""
+class _Piece:
+    """One pending component: its vertex count and lazy min-heaps of what
+    the rules ask about it.  An entry is checked against the current state
+    when it reaches the top and dropped if stale; every vertex a step
+    touches is pushed again, so each heap holds a valid entry for every
+    vertex or d-edge of the component that currently qualifies."""
 
-    __slots__ = ("cadj", "dadj")
+    __slots__ = ("size", "root", "members", "low", "cand", "dedges")
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.root = -1  # level 0 of `_State.level` (see `_State._split`)
+        self.members: list[int] = []
+        # (_low_key(v), v) for every vertex that is not simple degree 3
+        self.low: list[tuple[int, int]] = []
+        # every possible vertex c of configuration A (c-degree 3)
+        self.cand: list[int] = []
+        # d-edges (u < v): all of them, then those in one and in two triangles
+        self.dedges: tuple[list[tuple[int, int]], ...] = ([], [], [])
+
+
+def _top(heap: list, valid: Callable) -> Any:
+    """Smallest entry of a lazy heap that `valid` accepts, dropping the rest."""
+    while heap and not valid(heap[0]):
+        heappop(heap)
+    return heap[0] if heap else None
+
+
+class _State:
+    """Adjacency of a typed multigraph, original indices kept, reduced in
+    place, and the pending component (`_Piece`) each vertex belongs to."""
+
+    __slots__ = ("cadj", "dadj", "nadj", "owner", "level")
 
     def __init__(self, tm: TypedMultigraph):
         self.cadj = [set(nbrs) for nbrs in tm.c_adj]
         self.dadj = [set(nbrs) for nbrs in tm.d_adj]
+        # distinct neighbors, either type; an edge only goes with an endpoint
+        self.nadj = [c | d for c, d in zip(self.cadj, self.dadj)]
+        self.owner: list[Optional[_Piece]] = [None] * tm.n
+        self.level = [0] * tm.n
 
     def neighbors(self, v: int) -> set[int]:
-        return self.cadj[v] | self.dadj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.cadj[v]) + len(self.dadj[v])
+        return self.nadj[v]
 
     def remove(self, vertices: Iterable[int]) -> None:
         """Delete every edge incident to `vertices`, leaving them isolated."""
         for v in vertices:
-            for x in self.cadj[v]:
+            for x in self.nadj[v]:
                 self.cadj[x].discard(v)
-            for x in self.dadj[v]:
                 self.dadj[x].discard(v)
+                self.nadj[x].discard(v)
             self.cadj[v].clear()
             self.dadj[v].clear()
+            self.nadj[v].clear()
+            self.owner[v] = None
 
     def add_c_edge(self, u: int, v: int) -> None:
         self.cadj[u].add(v)
         self.cadj[v].add(u)
+        self.nadj[u].add(v)
+        self.nadj[v].add(u)
+
+    def enter(self, piece: _Piece, v: int) -> None:
+        """Make v a member of `piece` and push its entries there."""
+        self.owner[v] = piece
+        piece.size += 1
+        heappush(piece.members, v)
+        if len(self.cadj[v]) == 3:
+            heappush(piece.cand, v)
+        for w in self.dadj[v]:
+            if v < w:
+                heappush(piece.dedges[0], (v, w))
+        self.note(v)
+
+    def note(self, v: int) -> None:
+        """Push v's degree entry and its d-edges' triangle entries again."""
+        piece = self.owner[v]
+        key = self._low_key(v)
+        if key:
+            heappush(piece.low, (key, v))
+        for w in self.dadj[v]:
+            common = len(self.nadj[v] & self.nadj[w])
+            if common:
+                heappush(piece.dedges[common], (min(v, w), max(v, w)))
+
+    def _low_key(self, v: int) -> int:
+        """1 or 2 for a vertex with that many distinct neighbors, 3 for any
+        other vertex that is not simple degree 3, 0 for a simple one."""
+        nd = len(self.nadj[v])
+        if nd == 3 == len(self.cadj[v]) + len(self.dadj[v]):
+            return 0
+        return nd if nd in (1, 2) else 3
+
+    def members(self, piece: _Piece) -> list[int]:
+        return sorted(v for v in piece.members if self.owner[v] is piece)
+
+    def lowest(self, piece: _Piece) -> int:
+        return _top(piece.members, lambda v: self.owner[v] is piece)
+
+    def lowest_low(self, piece: _Piece) -> Optional[tuple[int, int]]:
+        """(key, v) for the lowest vertex of degree 1, else of degree 2, else
+        the lowest vertex that is not simple degree 3 (see `_low_key`)."""
+        return _top(
+            piece.low, lambda e: self.owner[e[1]] is piece and self._low_key(e[1]) == e[0]
+        )
+
+    def d_edge(self, piece: _Piece, triangles: int) -> Optional[tuple[int, int]]:
+        """Lowest d-edge of `piece` lying in exactly `triangles` (1 or 2)
+        triangles, or with `triangles` 0 the lowest d-edge of all."""
+
+        def valid(e: tuple[int, int]) -> bool:
+            u, v = e
+            if self.owner[u] is not piece or v not in self.dadj[u]:
+                return False
+            return not triangles or len(self.nadj[u] & self.nadj[v]) == triangles
+
+        return _top(piece.dedges[triangles], valid)
+
+    def config_a(self, piece: _Piece) -> Optional[ConfigurationA]:
+        """What `_find_config_a(self, members)` returns, from the lowest
+        candidate c that still has an occurrence.
+
+        Between two queries the edges among surviving vertices change only
+        by added c-edges (removing vertices deletes no edge between
+        survivors), so an occurrence that did not exist before uses an
+        added c-edge among its eight edges ca, cd, cb, ad, ab, du, bu, uv,
+        and its c is an endpoint x of that edge, a c-neighbor of x (added
+        ad, ab, du or bu), or a c-neighbor of a neighbor of x (added uv,
+        x = u, via d).  `apply` pushes those c values, so a candidate
+        dropped for having no occurrence never needs to come back unless
+        it is pushed again."""
+        heap = piece.cand
+        while heap:
+            c = heap[0]
+            if self.owner[c] is piece:
+                cfg = _find_config_a(self, (c,))
+                if cfg is not None:
+                    return cfg
+            heappop(heap)
+        return None
+
+    def apply(
+        self, piece: _Piece, removed: set[int], added: list[tuple[int, int]]
+    ) -> list[_Piece]:
+        """Remove `removed`, add the c-edges `added`, and return what is
+        left of `piece` as pieces ordered by smallest member."""
+        # the added c-edges join vertices next to removed ones
+        touched = {x for v in removed for x in self.neighbors(v)} - removed
+        ends = {x for e in added for x in e}
+        self.remove(removed)
+        for x, y in added:
+            self.add_c_edge(x, y)
+        piece.size -= len(removed)
+        if not piece.size:
+            return []
+        pieces = self._split(piece, sorted(touched))
+        for v in touched:
+            self.note(v)
+        for x in ends:
+            for y in self.neighbors(x) | {x}:
+                for c in self.cadj[y] | {y}:
+                    if len(self.cadj[c]) == 3:
+                        heappush(self.owner[c].cand, c)
+        return sorted(pieces, key=self.lowest)
+
+    def new_piece(self, vertices: list[int]) -> _Piece:
+        """A pending component of `vertices`, levelled from its largest member."""
+        piece = _Piece()
+        for v in vertices:
+            self.enter(piece, v)
+        self._relevel(piece, max(vertices))
+        return piece
+
+    def _relevel(self, piece: _Piece, root: int) -> list[int]:
+        """Root `piece` at `root` with BFS levels; returns the vertices reached."""
+        piece.root = root
+        level = self.level
+        level[root] = 0
+        order = [root]
+        seen = {root}
+        for x in order:
+            for y in self.nadj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    level[y] = level[x] + 1
+                    order.append(y)
+        return order
+
+    def _repair(self, piece: _Piece, check: list[tuple[int, int]], steps: int) -> bool:
+        """Up to `steps` steps of the level repair, each on the lowest
+        vertex to check: it stays if a neighbor lies lower, else it rises
+        above its lowest neighbor and its higher neighbors are checked in
+        turn.  True once nothing is left to check."""
+        level = self.level
+        for _ in range(steps):
+            if not check:
+                return True
+            lv, v = heappop(check)
+            if lv != level[v] or self.owner[v] is not piece or v == piece.root:
+                continue
+            nbrs = self.nadj[v]
+            if not nbrs:  # cut off from the root: stays pending for the searches
+                heappush(check, (lv, v))
+                continue
+            low = min(map(level.__getitem__, nbrs))
+            if low >= lv:
+                for w in nbrs:
+                    if level[w] > lv:
+                        heappush(check, (level[w], w))
+                level[v] = low + 1
+        return not check
+
+    def _split(self, piece: _Piece, starts: list[int]) -> list[_Piece]:
+        """Pieces of `piece` after a step, after Even and Shiloach's on-line
+        edge deletion.  Every vertex but the root keeps a lower neighbor,
+        so it reaches the root; a repair of these levels from the starts,
+        the vertices next to the removed ones, proves in the common case
+        that nothing split.  In lockstep with it, one search per start
+        runs; searches that meet merge, and once at most one is open, each
+        closed search is a whole piece and moves to a new `_Piece`, while
+        the open one (or the largest, if all closed) stays `piece`.  Either
+        way the cost is about that of the cheaper of the two; the searches
+        start only after a few repair steps, which usually suffice, and a
+        repair longer than the piece gives way to levelling afresh."""
+        levelled = self.owner[piece.root] is piece
+        check = [(self.level[s], s) for s in starts]
+        heapify(check)
+        if levelled and self._repair(piece, check, 8 * len(starts)):
+            return [piece]
+        tag = {s: i for i, s in enumerate(starts)}
+        found = [[s] for s in starts]
+        queue = [deque((s,)) for s in starts]
+        root = list(range(len(starts)))
+        live = root[:]
+        while len(live) > 1:
+            if levelled and self._repair(piece, check, len(live)):
+                return [piece]
+            for g in live:
+                if root[g] != g or not queue[g]:
+                    continue
+                for y in self.nadj[queue[g].popleft()]:
+                    h = tag.get(y)
+                    if h is None:
+                        tag[y] = g
+                        found[g].append(y)
+                        queue[g].append(y)
+                        continue
+                    while root[h] != h:
+                        h = root[h]
+                    if h != g:
+                        root[h] = g
+                        found[g] += found[h]
+                        queue[g] += queue[h]
+            live = [g for g in live if root[g] == g and queue[g]]
+        closed = [found[g] for g in range(len(starts)) if root[g] == g and not queue[g]]
+        kept = found[live[0]] if live else max(closed, key=len)
+        pieces = [piece]
+        for vertices in closed:
+            if vertices is not kept:
+                pieces.append(self.new_piece(vertices))
+                piece.size -= pieces[-1].size
+        if not (self.owner[piece.root] is piece and self._repair(piece, check, piece.size)):
+            self._relevel(piece, max(self._relevel(piece, kept[0])))
+        return pieces
 
 
 # What one reduction does to its component: the rule name, the vertices
@@ -133,10 +372,11 @@ def construct_two_limited(tm: TypedMultigraph) -> tuple[frozenset[int], Reductio
     chosen: set[int] = set()
     # pieces are pushed in reverse so the lowest is reduced next: the
     # induction's depth-first order
-    stack = components_within(st.neighbors, range(tm.n))[::-1]
+    stack = [st.new_piece(comp) for comp in components_within(st.neighbors, range(tm.n))]
+    stack.reverse()
     while stack:
-        comp = stack.pop()
-        rule, removed, added, pick = _reduce_component(st, comp)
+        piece = stack.pop()
+        rule, removed, added, pick = _reduce_component(st, piece)
         steps.append(
             ReductionStep(
                 rule,
@@ -146,11 +386,7 @@ def construct_two_limited(tm: TypedMultigraph) -> tuple[frozenset[int], Reductio
             )
         )
         chosen |= pick
-        st.remove(removed)
-        for x, y in added:
-            st.add_c_edge(x, y)
-        rest = [v for v in comp if v not in removed]
-        stack += components_within(st.neighbors, rest)[::-1]
+        stack += st.apply(piece, removed, added)[::-1]
     report = verify_typed_two_limited(tm, chosen)
     if not report.valid or 3 * len(chosen) < tm.n:
         raise InternalError(
@@ -164,36 +400,42 @@ def find_configuration_a(tm: TypedMultigraph) -> Optional[ConfigurationA]:
     return _find_config_a(_State(tm), range(tm.n))
 
 
-def _reduce_component(st: _State, comp: list[int]) -> _Step:
-    """The reduction the induction applies to connected component `comp`."""
-    n = len(comp)
+def _reduce_component(st: _State, piece: _Piece) -> _Step:
+    """The reduction the induction applies to connected component `piece`."""
+    n = piece.size
 
     # base cases: any single vertex for n <= 3; for n = 4 any pair not
     # joined by a c-edge (such a pair exists, all-c K4s are excluded)
-    if n <= 3:
-        return "base-case", set(comp), [], {comp[0]}
-    if n == 4:
+    if n <= 4:
+        comp = st.members(piece)
+        if n <= 3:
+            return "base-case", set(comp), [], {comp[0]}
         for u, v in combinations(comp, 2):
             if v not in st.cadj[u]:
                 return "base-case", set(comp), [], {u, v}
         raise InternalError("internal error: all-c K4 component reached the base case")
 
     # all edges c: 3-color and take the largest color class
-    if all(not st.dadj[v] for v in comp):
-        return _brooks_class(st, comp)
+    if st.d_edge(piece, 0) is None:
+        return _brooks_class(st, st.members(piece))
 
-    cfg = _find_config_a(st, comp)
+    cfg = st.config_a(piece)
     if cfg is not None:
         removed = {cfg.a, cfg.b, cfg.c, cfg.d, cfg.u, cfg.v}
         return "configuration-A", removed, [], {cfg.b, cfg.d}
 
-    step = _reduce_degree_one(st, comp)
-    if step is None:
-        step = _reduce_degree_two(st, comp)
-    if step is None:
-        _assert_simple_cubic(st, comp)
-        step = _reduce_d_edge(st, comp)
-    return step
+    low = st.lowest_low(piece)
+    if low is None:
+        return _reduce_d_edge(st, piece)
+    key, u = low
+    if key == 1:
+        return _reduce_degree_one(st, u)
+    if key == 2:
+        return _reduce_degree_two(st, u, piece)
+    raise InternalError(
+        "internal error: expected a simple 3-regular component after"
+        f" the degree reductions, vertex {u} breaks it"
+    )
 
 
 def _brooks_class(st: _State, comp: list[int]) -> _Step:
@@ -210,30 +452,20 @@ def _brooks_class(st: _State, comp: list[int]) -> _Step:
     return "brooks", set(comp), [], set(classes[best])
 
 
-def _reduce_degree_one(st: _State, comp: list[int]) -> Optional[_Step]:
+def _reduce_degree_one(st: _State, u: int) -> _Step:
     """Vertex u adjacent to a single other vertex v: remove {u, v}, add the
     c-edge between v's other two neighbors only when the proof needs it."""
-    for u in comp:
-        nb = st.neighbors(u)
-        if len(nb) != 1:
-            continue
-        v = next(iter(nb))
-        survivors = sorted(st.neighbors(v) - {u})
-        added: list[tuple[int, int]] = []
-        if len(survivors) == 2:
-            a, b = survivors
-            if (
-                u in st.dadj[v]
-                and a in st.dadj[v]
-                and b in st.dadj[v]
-                and b not in st.cadj[a]
-            ):
-                added = [(a, b)]
-        removed = {u, v}
-        if added and _c_k4_completions(st, added, removed):
-            raise InternalError("internal error: degree-1 c-edge completed a K4")
-        return "degree-1", removed, added, {u}
-    return None
+    (v,) = st.neighbors(u)
+    survivors = sorted(st.neighbors(v) - {u})
+    added: list[tuple[int, int]] = []
+    if len(survivors) == 2:
+        a, b = survivors
+        if u in st.dadj[v] and a in st.dadj[v] and b in st.dadj[v] and b not in st.cadj[a]:
+            added = [(a, b)]
+    removed = {u, v}
+    if added and _c_k4_completions(st, added, removed):
+        raise InternalError("internal error: degree-1 c-edge completed a K4")
+    return "degree-1", removed, added, {u}
 
 
 def _needed_pair(
@@ -258,66 +490,43 @@ def _needed_pair(
     return None
 
 
-def _reduce_degree_two(st: _State, comp: list[int]) -> Optional[_Step]:
+def _reduce_degree_two(st: _State, u: int, piece: _Piece) -> _Step:
     """Vertex u adjacent to exactly two others v, w: remove the three, add
     c-edges between each removed neighbor's surviving pair as needed.
 
     When the two added edges would together complete a c-K4 the component
     has exactly 7 vertices and pair(v) plus w is already 2-limited."""
-    for u in comp:
-        nb = sorted(st.neighbors(u))
-        if len(nb) != 2:
-            continue
-        v, w = nb
-        removed = {u, v, w}
-        pair_v = _needed_pair(st, v, u, removed)
-        pair_w = _needed_pair(st, w, u, removed)
-        added = []
-        if pair_v:
-            added.append(pair_v)
-        if pair_w and pair_w != pair_v:
-            added.append(pair_w)
-        k4s = _c_k4_completions(st, added, removed)
-        if k4s:
-            k4, inside = k4s[0]
-            if len(inside) < 2 or pair_v is None or pair_w is None:
-                raise InternalError("internal error: single degree-2 c-edge completed a K4")
-            if len(comp) != 7:
-                raise InternalError("internal error: degree-2 double K4 outside 7 vertices")
-            return "degree-2-c-k4", set(comp), [], {pair_v[0], pair_v[1], w}
-        return "degree-2", removed, added, {u}
-    return None
+    v, w = sorted(st.neighbors(u))
+    removed = {u, v, w}
+    pair_v = _needed_pair(st, v, u, removed)
+    pair_w = _needed_pair(st, w, u, removed)
+    added = []
+    if pair_v:
+        added.append(pair_v)
+    if pair_w and pair_w != pair_v:
+        added.append(pair_w)
+    k4s = _c_k4_completions(st, added, removed)
+    if k4s:
+        k4, inside = k4s[0]
+        if len(inside) < 2 or pair_v is None or pair_w is None:
+            raise InternalError("internal error: single degree-2 c-edge completed a K4")
+        if piece.size != 7:
+            raise InternalError("internal error: degree-2 double K4 outside 7 vertices")
+        return "degree-2-c-k4", set(st.members(piece)), [], {pair_v[0], pair_v[1], w}
+    return "degree-2", removed, added, {u}
 
 
-def _assert_simple_cubic(st: _State, comp: list[int]) -> None:
-    for v in comp:
-        nb = st.neighbors(v)
-        if len(nb) != 3 or st.degree(v) != 3:
-            raise InternalError(
-                "internal error: expected a simple 3-regular component after"
-                f" the degree reductions, vertex {v} breaks it"
-            )
-
-
-def _reduce_d_edge(st: _State, comp: list[int]) -> _Step:
-    """Eliminate a d-edge uv, preferring one in two triangles, then one
-    triangle, then none; the graph here is simple, 3-regular, and has a
+def _reduce_d_edge(st: _State, piece: _Piece) -> _Step:
+    """Eliminate the lowest d-edge uv in two triangles, else in one, else
+    the lowest d-edge; the graph here is simple, 3-regular, and has a
     d-edge (an all-c component would have been 3-colored instead)."""
-    d_edges = sorted((u, v) for u in comp for v in st.dadj[u] if u < v)
-    if not d_edges:
-        raise InternalError("internal error: no d-edge left for the cubic rules")
-
-    one_triangle: Optional[tuple[int, int, int]] = None
-    for u, v in d_edges:
-        common = sorted(st.neighbors(u) & st.neighbors(v))
-        if len(common) == 2:
-            return _two_triangles(st, u, v, common)
-        if len(common) == 1 and one_triangle is None:
-            one_triangle = (u, v, common[0])
-    if one_triangle is not None:
-        return _one_triangle(st, *one_triangle)
-    u, v = d_edges[0]
-    return _no_triangle(st, u, v, comp)
+    u, v = st.d_edge(piece, 2) or st.d_edge(piece, 1) or st.d_edge(piece, 0)
+    common = sorted(st.neighbors(u) & st.neighbors(v))
+    if len(common) == 2:
+        return _two_triangles(st, u, v, common)
+    if common:
+        return _one_triangle(st, u, v, common[0])
+    return _no_triangle(st, u, v, piece.size)
 
 
 def _two_triangles(st: _State, u: int, v: int, common: list[int]) -> _Step:
@@ -352,7 +561,7 @@ def _one_triangle(st: _State, u: int, v: int, w: int) -> _Step:
     return "d-edge-one-triangle", removed, added, {u, v}
 
 
-def _no_triangle(st: _State, u: int, v: int, comp: list[int]) -> _Step:
+def _no_triangle(st: _State, u: int, v: int, size: int) -> _Step:
     a, b = sorted(st.neighbors(u) - {v})
     c, d = sorted(st.neighbors(v) - {u})
     parents = [a, b, c, d]
@@ -395,7 +604,7 @@ def _no_triangle(st: _State, u: int, v: int, comp: list[int]) -> _Step:
         return "d-edge-no-triangle-c-k4-triple", removed_special, extra, pick
     # all four added edges in one K4: the component is exactly these 10
     # vertices and the four middle vertices form the 2-limited set
-    if len(comp) != 10:
+    if size != 10:
         raise InternalError("internal error: quadruple K4 completion outside 10 vertices")
     return "d-edge-no-triangle-c-k4-quad", set(k4) | removed, [], {a, b, c, d}
 
@@ -498,11 +707,10 @@ def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
     if low:
         _reverse_bfs_color(g, comp_set, low[0], {}, colors)
         return
-    for v in comp:
-        pieces = components_within(g.neighbors, comp_set - {v})
-        if len(pieces) > 1:
-            _split_at_cut_vertex(g, pieces, v, colors)
-            return
+    cut = _lowest_cut_vertex(g, comp[0])
+    if cut is not None:
+        _split_at_cut_vertex(g, components_within(g.neighbors, comp_set - {cut}), cut, colors)
+        return
     for v in comp:
         nbrs = sorted(g.adj[v])
         for a, b in combinations(nbrs, 2):
@@ -515,6 +723,39 @@ def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
                 colors[b] = 0
                 return
     raise InternalError("internal error: no Brooks decomposition found")
+
+
+def _lowest_cut_vertex(g: Graph, root: int) -> Optional[int]:
+    """Lowest cut vertex of root's component, by one iterative depth-first
+    pass with low points (Hopcroft and Tarjan)."""
+    disc = {root: 0}
+    low = {root: 0}
+    cuts = set()
+    root_children = 0
+    stack = [(root, iter(g.adj[root]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, iter(g.adj[w])))
+                break
+            # the tree edge to the parent counts too: it only brings low[v]
+            # down to disc[parent], which leaves the cut test below unchanged
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            parent = stack[-1][0]
+            low[parent] = min(low[parent], low[v])
+            if parent == root:
+                root_children += 1
+            elif low[v] >= disc[parent]:
+                cuts.add(parent)
+    if root_children > 1:
+        cuts.add(root)
+    return min(cuts, default=None)
 
 
 def _split_at_cut_vertex(

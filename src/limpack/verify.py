@@ -65,8 +65,14 @@ class VerificationReport:
 
 
 def _check_subset(vertices: Iterable[int], n: int) -> frozenset[int]:
+    """The members as a set of vertices, each an int (not a bool) in range.
+
+    The check runs on the set, where 1.0 or True beside an equal int 1
+    that comes first has already merged into it."""
     xs = frozenset(vertices)
     for v in xs:
+        if type(v) is not int:
+            raise GraphInputError(f"vertex {v!r} is not an int")
         if not (0 <= v < n):
             raise GraphInputError(f"vertex {v} out of range for graph with {n} vertices")
     return xs

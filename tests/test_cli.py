@@ -121,7 +121,9 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     import limpack.cubic
 
     monkeypatch.setattr(
-        limpack.cubic, "_reduce_component", lambda st, comp: ("base-case", set(comp), [], set())
+        limpack.cubic,
+        "_reduce_component",
+        lambda st, piece: ("base-case", set(st.members(piece)), [], set()),
     )
     path = write_graph(tmp_path, "p.graph", gen_named("petersen"))
     code, stdout, err = run_cli(capsys, "construct", "--method", "cubic2", "--k", "2", path)
@@ -129,6 +131,25 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert stdout == ""
     assert err.startswith("error: internal error: ")
     assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_three(tmp_path):
+    """A request too large for memory ends in one error line and exit 3.
+
+    The address-space cap is set in the child process only."""
+    import resource
+
+    cap = 256 * 2**20
+    out = subprocess.run(
+        [sys.executable, "-m", "limpack.cli", "gen", "--family", "cycle",
+         "--n", "1000000000", "--out", str(tmp_path / "big.graph")],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

@@ -1,0 +1,220 @@
+"""Guards for the incremental cubic n/3 construction and the Brooks cut-vertex pass.
+
+* every incremental query of `construct_two_limited` is checked, at every
+  step, against a full scan of its component (the oracle fixture);
+* seeded sets and traces at n = 2000-8000, too large for the recursive
+  reference in ``reference_cubic``, hash as they did before the queries
+  became incremental;
+* `brooks_three_coloring` agrees with ``reference_brooks``, which finds
+  the lowest cut vertex by one search per vertex.
+"""
+
+import hashlib
+import random
+from collections import Counter
+
+import pytest
+import reference_brooks
+
+import corpus
+import limpack.cubic as cubic
+from limpack import (
+    Graph,
+    TypedMultigraph,
+    brooks_three_coloring,
+    construct_two_limited,
+    disjoint_union,
+    gen_cycle,
+    gen_named,
+    gen_random_regular,
+    verify_typed_two_limited,
+)
+from limpack.graph import components_within
+
+# sha256 of " ".join(sorted(X)) and of trace.to_text() for
+# gen_random_regular(n, 3, seed), recorded with the construction that
+# rescanned the whole component on every step
+LARGE = {
+    (2000, 1): ("b9535996e416e87658610690027a0f7b52cb6d77443efec869a0ba3fa3fecf87",
+                "fa62ac042a675e73a628fdef5be0b971e3a7b517b5ca87b8e29893b2a826e67f"),
+    (2000, 2): ("0fe22446bda496113647694953655f418b39b6e50ebb91079e56c08c2a7d7874",
+                "6ebfa8a8b45e9799264d5f50c6c900d674930cbc9b1b982c725b710e43535f3d"),
+    (4000, 1): ("ceac88459bb1ecb684ca236e2e12ada30bf070b80e86df9168e65f21ed64e70b",
+                "2ca0fdde4019484e1bb34391c042a017fce99554fea54e0e0e40fde85290a5dd"),
+    (4000, 2): ("bcbdb9aa18344b13406b6970a27f0e3a3d345b38e3aa526d3891d8aa76214456",
+                "ddf9dc328d263448711454ad01c2879c26d8741b0c4dfa2c11da870a2d847b99"),
+    (8000, 1): ("cfefc8fe5b10849138d9bd308c3b30ecde3dcb87ef8cffaef449fdbdd10517f0",
+                "4d0900e1f39ca51c10197e96e2e5aa6125e33e5ccf0f7e9e0b3a1ba4e4a878cd"),
+    (8000, 2): ("9304310d44ace3d2c1f8072b269a3a1c37bf2988a7ad1e9855527ef9cbaf5b60",
+                "429a82265a19c469ded797509ff170cc8be9b99185886b65bfbfa6d472f4dfd6"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, seed", sorted(LARGE))
+def test_large_random_cubic_matches_recorded_hashes(n, seed):
+    chosen, trace = construct_two_limited(TypedMultigraph.from_graph(gen_random_regular(n, 3, seed)))
+    assert (_sha(" ".join(map(str, sorted(chosen)))), _sha(trace.to_text())) == LARGE[n, seed]
+
+
+def test_scale_smoke():
+    tm = TypedMultigraph.from_graph(gen_random_regular(20_000, 3, 1))
+    chosen, _ = construct_two_limited(tm)
+    assert verify_typed_two_limited(tm, chosen).valid
+    assert 3 * len(chosen) >= tm.n
+
+
+# ---------------------------------------------------------------- oracle
+
+
+def _component(st, piece) -> list[int]:
+    """The members of `piece` by its labels, checked to be one whole component."""
+    comp = sorted(v for v, owner in enumerate(st.owner) if owner is piece)
+    assert all(st.owner[x] is piece for v in comp for x in st.neighbors(v))
+    assert components_within(st.neighbors, comp) == [comp]
+    assert piece.size == len(comp)
+    return comp
+
+
+def _scan_low(st, comp):
+    for key in (1, 2):
+        for u in comp:
+            if len(st.neighbors(u)) == key:
+                return key, u
+    for u in comp:
+        if len(st.neighbors(u)) != 3 or len(st.cadj[u]) + len(st.dadj[u]) != 3:
+            return 3, u
+    return None
+
+
+def _scan_d_edge(st, comp, triangles):
+    for u in comp:
+        for v in sorted(st.dadj[u]):
+            if u < v and (not triangles or len(st.neighbors(u) & st.neighbors(v)) == triangles):
+                return u, v
+    return None
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Wrap each incremental query of `_State` with an assertion that it
+    equals the full scan; yields a counter of the answers seen."""
+    seen: Counter = Counter()
+    State = cubic._State
+
+    def wrap(name, check):
+        original = getattr(State, name)
+
+        def wrapped(st, piece, *args):
+            before = _component(st, piece)
+            result = original(st, piece, *args)
+            check(st, before, args, result)
+            seen[name, result is not None and result != []] += 1
+            return result
+
+        monkeypatch.setattr(State, name, wrapped)
+
+    def check_low(st, comp, args, result):
+        assert result == _scan_low(st, comp)
+
+    def check_config_a(st, comp, args, result):
+        assert result == cubic._find_config_a(st, comp)
+
+    def check_d_edge(st, comp, args, result):
+        assert result == _scan_d_edge(st, comp, args[0])
+
+    def check_lowest(st, comp, args, result):
+        assert result == comp[0]
+
+    def check_apply(st, comp, args, pieces):
+        removed, _ = args
+        rest = [v for v in comp if v not in removed]
+        assert [_component(st, p) for p in pieces] == components_within(st.neighbors, rest)
+        seen["split", len(pieces) > 1] += 1
+        for p in pieces:  # every vertex but the root has a lower neighbor
+            for v in _component(st, p):
+                assert v == p.root or any(st.level[w] < st.level[v] for w in st.neighbors(v))
+
+    wrap("lowest_low", check_low)
+    wrap("config_a", check_config_a)
+    wrap("d_edge", check_d_edge)
+    wrap("lowest", check_lowest)
+    wrap("apply", check_apply)
+    return seen
+
+
+def test_incremental_queries_match_full_scans(oracle):
+    graphs = [corpus.random_typed_multigraph(s, 4 + (s * 7) % 60) for s in range(500)]
+    graphs += [
+        corpus.configuration_a_graph(),
+        corpus.degree_one_addition_graph(),
+        corpus.degree_two_special_graph(),
+        corpus.two_triangles_graph(),
+        corpus.two_triangles_degenerate_graph(),
+        corpus.one_triangle_special_graph(),
+        corpus.no_triangle_pair_graph(),
+        corpus.no_triangle_triple_graph(),
+        corpus.no_triangle_quad_graph(),
+    ]
+    graphs += [TypedMultigraph.from_graph(gen_random_regular(n, 3, n)) for n in (120, 300)]
+    rules = Counter()
+    for tm in graphs:
+        _, trace = construct_two_limited(tm)
+        rules.update(step.rule for step in trace.steps)
+    # every query answered both ways, and the runs reached every rule
+    for name in ("lowest_low", "config_a", "d_edge", "apply", "split"):
+        assert oracle[name, True] and oracle[name, False], name
+    assert set(rules) == {
+        "base-case", "brooks", "configuration-A", "degree-1", "degree-2",
+        "degree-2-c-k4", "d-edge-two-triangles", "d-edge-one-triangle",
+        "d-edge-one-triangle-c-k4", "d-edge-no-triangle", "d-edge-no-triangle-c-k4-pair",
+        "d-edge-no-triangle-c-k4-triple", "d-edge-no-triangle-c-k4-quad",
+    }
+
+
+# ---------------------------------------------------------------- Brooks
+
+
+def _blocks_at_a_cut_vertex(seed: int) -> Graph:
+    """3-regular graph: a centre joined by bridges to three random blocks,
+    each a random cubic graph with one edge subdivided by its apex; the
+    labels are shuffled so the lowest cut vertex varies."""
+    rng = random.Random(seed)
+    edges = []
+    n = 1
+    for _ in range(3):
+        m = rng.choice((4, 6, 8, 10))
+        block = gen_random_regular(m, 3, rng.randrange(2**32)).edges()
+        a, b = block.pop(rng.randrange(len(block)))
+        apex = n + m
+        edges += [(n + u, n + v) for u, v in block]
+        edges += [(n + a, apex), (n + b, apex), (apex, 0)]
+        n = apex + 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _brooks_inputs():
+    for n in range(6, 62, 2):
+        for seed in range(3):
+            yield gen_random_regular(n, 3, seed)
+    for seed in range(40):
+        yield _blocks_at_a_cut_vertex(seed)
+    yield Graph.from_edges(16, [e for i in range(3) for e in _diamond_block(1 + 5 * i)])
+    yield disjoint_union(_blocks_at_a_cut_vertex(1), gen_named("petersen"))
+    yield disjoint_union(gen_cycle(7), _blocks_at_a_cut_vertex(2))
+
+
+def _diamond_block(first: int):
+    # the test_brooks_cut_vertex_cubic block: a diamond closed by an apex on 0
+    a, b, c, d, e = range(first, first + 5)
+    return [(a, b), (a, c), (a, d), (b, c), (b, d), (c, e), (d, e), (0, e)]
+
+
+def test_brooks_matches_reference_scan():
+    for g in _brooks_inputs():
+        assert brooks_three_coloring(g) == reference_brooks.brooks_three_coloring(g)

@@ -46,6 +46,20 @@ def test_out_of_range_member():
         verify_k_limited(gen_cycle(3), {0}, 0)
 
 
+@pytest.mark.parametrize("member", [1.5, 1.0, True])
+def test_non_int_member_rejected(member):
+    for verify in (
+        lambda xs: verify_k_limited(gen_cycle(5), xs, 1),
+        lambda xs: verify_tuple_dominating(gen_cycle(5), xs, 1),
+        lambda xs: verify_typed_two_limited(TypedMultigraph.from_graph(gen_cycle(5)), xs),
+        lambda xs: dual_complement(gen_cycle(5), xs, 1),
+    ):
+        with pytest.raises(GraphInputError, match="not an int"):
+            verify([member])
+        with pytest.raises(GraphInputError, match="not an int"):
+            verify([0, member])
+
+
 def test_typed_c_edge_rejects_both_endpoints():
     tm = TypedMultigraph.from_edges(2, [(0, 1, "c")])
     report = verify_typed_two_limited(tm, {0, 1})
