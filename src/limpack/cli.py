@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--exact", action="store_true", help="accepted for clarity; solves are always exact")
     p_solve.add_argument("--dominating", action="store_true")
     p_solve.add_argument("--l", type=int)
-    p_solve.add_argument("--k", type=int, required=True)
+    p_solve.add_argument("--k", type=int, help="packing limit; not used with --dominating")
     p_solve.add_argument("file")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=_cmd_construct)
 
     p_ver = sub.add_parser("verify", help="check a packing or dominating set file")
-    p_ver.add_argument("--k", type=int, required=True)
+    p_ver.add_argument("--k", type=int, help="packing limit; not used with --dominating")
     p_ver.add_argument("--packing", required=True)
     p_ver.add_argument("--dominating", action="store_true")
     p_ver.add_argument("--l", type=int)
@@ -140,6 +140,12 @@ class _UsageError(Exception):
     pass
 
 
+def _check_k(args, command: str) -> None:
+    """--k is needed exactly when the command checks or solves a packing."""
+    if not args.dominating and args.k is None:
+        raise _UsageError(f"{command} needs --k (or --dominating with --l)")
+
+
 def _read_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
@@ -179,6 +185,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_k(args, "solve")
     g = _read_plain_graph(args.file, "solve")
     if args.dominating:
         if args.l is None:
@@ -244,6 +251,7 @@ def _print_witness(chosen) -> None:
 
 
 def _cmd_verify(args) -> int:
+    _check_k(args, "verify")
     parsed = _read_graph(args.graph)
     with open(args.packing, "r", encoding="utf-8") as fh:
         vertices = parse_packing(fh.read())

@@ -3,9 +3,7 @@
 Both optimizers are branch-and-bound searches over a fixed vertex order
 (descending degree, ties by index), exploring "include" before "exclude"
 and keeping only strict improvements, which makes the returned witness
-the lexicographically first optimal set in the branching order.  The
-packing solver maintains per-constraint residual capacities; the
-domination solver tracks coverage deficits and remaining potential.
+the lexicographically first optimal set in the branching order.
 
 Both prune with the paper's double-counting bound (k·n/(δ+1), see
 ``bounds.packing_upper``) applied to the residual instance at each node.
@@ -17,6 +15,30 @@ constraints any vertex lies in) more vertices are needed, and never fewer
 than the largest deficit.  A node is pruned only when its subtree cannot
 strictly improve on the incumbent, so the witness rule above is
 unaffected by the bounds.
+
+Neither engine rescans the instance at a node.  Each keeps the terms of
+its bound up to date as it branches and undoes every update when it
+backtracks.  A bound then costs O(1) plus a short histogram scan, and a
+branch touches only the constraints of its vertex and, when packing, the
+members of a constraint whose cap reaches 0: O(Δ²) updates, plus O(Δ)
+for each vertex that becomes unselectable.
+
+Packing state: the residual caps; per vertex, the number of its
+constraints whose cap is 0 (it is selectable when that is 0); per
+constraint, the number of its undecided selectable ("live") members; the
+number of live vertices with each constraint count (`fewest` is the
+smallest count in use); their total; and the cap sum of the constraints
+with a live member.  Deciding a vertex takes it out of the live counts.
+Including it also lowers the caps of its constraints.  A cap that reaches
+0 makes all members of that constraint unselectable, and the live ones
+leave the counts.
+
+Domination state: per constraint, the members it still needs and its
+room (chosen plus undecided members, minus l); a histogram of the
+positive deficits; and their sum.  Including a vertex moves each of its
+constraints one histogram bucket down and leaves room unchanged.
+Excluding it lowers room, and is feasible only when none of its
+constraints has room 0.
 
 ``enumerate_oracle`` scans all 2^n subsets with no pruning and is the
 independent yardstick the rest of the package is tested against.
@@ -157,59 +179,98 @@ def _maximize(
 ) -> SolveResult:
     """Branch and bound for the largest set within every constraint's cap.
 
-    Every vertex must lie in at least one constraint, so `fewest` below is
-    never 0.
+    Every cap must be positive and every vertex must lie in at least one
+    constraint, so `fewest` below is never 0.
     """
     cons_of = _membership(n, constraints)
-    cons_from_last = [cons_of[v] for v in reversed(order)]
-    # live_at[c] == nodes marks constraint c as counted in the current node's bound
-    live_at = [0] * len(constraints)
+    size = [len(cs) for cs in cons_of]
+    smallest = min(size, default=1)
+    rank = [0] * n
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    # zero[v]: v's constraints whose cap is 0; v is selectable when it is 0.
+    # An undecided selectable vertex is "live"; live[c] counts c's live
+    # members, by_size[s] the live vertices in s constraints, and cap_sum
+    # sums the caps of the constraints with a live member.  Every cap starts
+    # positive, so at the root every vertex is live.
+    zero = [0] * n
+    live = [len(members) for members in constraints]
+    by_size = [0] * (max(size, default=0) + 1)
+    for count in size:
+        by_size[count] += 1
+    addable = n
+    cap_sum = sum(caps)
 
     best_size = -1
     best_set: list[int] = []
     chosen: list[int] = []
     nodes = 0
 
+    def drop(u: int) -> None:
+        nonlocal addable, cap_sum
+        addable -= 1
+        by_size[size[u]] -= 1
+        for c in cons_of[u]:
+            live[c] -= 1
+            if not live[c]:
+                cap_sum -= caps[c]
+
+    def restore(u: int) -> None:
+        nonlocal addable, cap_sum
+        addable += 1
+        by_size[size[u]] += 1
+        for c in cons_of[u]:
+            if not live[c]:
+                cap_sum += caps[c]
+            live[c] += 1
+
     def rec(pos: int) -> None:
-        nonlocal best_size, best_set, nodes
+        nonlocal best_size, best_set, nodes, cap_sum
         nodes += 1
         if pos == n:
             if len(chosen) > best_size:
                 best_size = len(chosen)
                 best_set = sorted(chosen)
             return
-        # Residual double counting: a vertex that can still be added is
-        # undecided and selectable, and adding it spends one unit of each of
-        # its constraints (at least `fewest` of them, all counted in cap_sum),
-        # so at most cap_sum // fewest more vertices fit.  Caps never go
-        # negative, so a vertex is selectable when none of its caps is 0.
-        # The scan runs from the last undecided vertex back to order[pos],
-        # so `selectable` ends holding the test for order[pos].
-        addable = 0
-        cap_sum = 0
-        fewest = len(caps)
-        for cs in cons_from_last[: n - pos]:
-            selectable = 0 not in [caps[c] for c in cs]
-            if selectable:
-                addable += 1
-                if len(cs) < fewest:
-                    fewest = len(cs)
-                for c in cs:
-                    if live_at[c] != nodes:
-                        live_at[c] = nodes
-                        cap_sum += caps[c]
-        if len(chosen) + min(addable, cap_sum // fewest) <= best_size:
+        # Residual double counting: adding a live vertex spends one unit of
+        # each of its constraints (at least `fewest` of them, all counted in
+        # cap_sum), so at most cap_sum // fewest more vertices fit.
+        bound = 0
+        if addable:
+            fewest = smallest
+            while not by_size[fewest]:
+                fewest += 1
+            bound = min(addable, cap_sum // fewest)
+        if len(chosen) + bound <= best_size:
             return
         v = order[pos]
-        if selectable:
-            chosen.append(v)
-            for c in cons_of[v]:
-                caps[c] -= 1
+        if zero[v]:
             rec(pos + 1)
-            for c in cons_of[v]:
-                caps[c] += 1
-            chosen.pop()
+            return
+        drop(v)
+        chosen.append(v)
+        for c in cons_of[v]:
+            if live[c]:
+                cap_sum -= 1
+            caps[c] -= 1
+            if not caps[c]:
+                for u in constraints[c]:
+                    zero[u] += 1
+                    if zero[u] == 1 and rank[u] > pos:
+                        drop(u)
         rec(pos + 1)
+        for c in cons_of[v]:
+            if not caps[c]:
+                for u in constraints[c]:
+                    zero[u] -= 1
+                    if not zero[u] and rank[u] > pos:
+                        restore(u)
+            caps[c] += 1
+            if live[c]:
+                cap_sum += 1
+        chosen.pop()
+        rec(pos + 1)
+        restore(v)
 
     rec(0)
     return SolveResult(best_size, tuple(best_set), nodes)
@@ -218,10 +279,16 @@ def _maximize(
 def _minimize(n: int, constraints: list[list[int]], order: list[int], l: int) -> SolveResult:
     """Branch and bound for the smallest set with at least l members in
     every constraint."""
-    covered = [0] * len(constraints)
-    undecided = [len(members) for members in constraints]
     cons_of = _membership(n, constraints)
     most = max((len(cs) for cs in cons_of), default=1)
+    # need[c] = l - (chosen members of c); short[d] counts the constraints
+    # with deficit d = need > 0 (short[0] collects the rest) and deficit_sum
+    # sums those deficits.  room[c] = chosen + undecided members - l.
+    need = [l] * len(constraints)
+    short = [0] * (l + 1)
+    short[l] = len(constraints)
+    deficit_sum = l * len(constraints)
+    room = [len(members) - l for members in constraints]
 
     # the full vertex set is feasible (l <= min_degree + 1 was checked)
     best_size = n
@@ -230,19 +297,16 @@ def _minimize(n: int, constraints: list[list[int]], order: list[int], l: int) ->
     nodes = 0
 
     def rec(pos: int) -> None:
-        nonlocal best_size, best_set, nodes
+        nonlocal best_size, best_set, nodes, deficit_sum
         nodes += 1
         # Residual double counting: an addition lowers the total deficit by
         # at most `most`, the largest number of constraints a vertex lies in.
-        max_deficit = 0
-        deficit_sum = 0
-        for cov in covered:
-            deficit = l - cov
-            if deficit > 0:
-                deficit_sum += deficit
-                if deficit > max_deficit:
-                    max_deficit = deficit
-        if len(chosen) + max(max_deficit, -(-deficit_sum // most)) >= best_size:
+        if len(chosen) - (-deficit_sum // most) >= best_size:
+            return
+        max_deficit = l
+        while max_deficit and not short[max_deficit]:
+            max_deficit -= 1
+        if len(chosen) + max_deficit >= best_size:
             return
         if pos == n:
             if max_deficit == 0 and len(chosen) < best_size:
@@ -250,20 +314,34 @@ def _minimize(n: int, constraints: list[list[int]], order: list[int], l: int) ->
                 best_set = sorted(chosen)
             return
         v = order[pos]
-        for c in cons_of[v]:
-            undecided[c] -= 1
+        cs = cons_of[v]
+        # include v: room is unchanged, one more member counts toward need
         chosen.append(v)
-        for c in cons_of[v]:
-            covered[c] += 1
+        for c in cs:
+            d = need[c]
+            need[c] = d - 1
+            if d > 0:
+                short[d] -= 1
+                short[d - 1] += 1
+                deficit_sum -= 1
         rec(pos + 1)
+        for c in cs:
+            d = need[c] + 1
+            need[c] = d
+            if d > 0:
+                short[d] += 1
+                short[d - 1] -= 1
+                deficit_sum += 1
         chosen.pop()
-        for c in cons_of[v]:
-            covered[c] -= 1
-        # exclude v: feasible only if every constraint retains enough potential
-        if all(covered[c] + undecided[c] >= l for c in cons_of[v]):
-            rec(pos + 1)
-        for c in cons_of[v]:
-            undecided[c] += 1
+        # exclude v: feasible only if no constraint of v has room 0
+        for c in cs:
+            if not room[c]:
+                return
+        for c in cs:
+            room[c] -= 1
+        rec(pos + 1)
+        for c in cs:
+            room[c] += 1
 
     rec(0)
     return SolveResult(best_size, tuple(best_set), nodes)

@@ -212,6 +212,36 @@ def test_verify_dominating(tmp_path, capsys):
     assert code == 0
 
 
+def test_dominating_needs_no_k(tmp_path, capsys):
+    gpath = write_graph(tmp_path, "c4.graph", parse_graph("4 4\n0 1\n1 2\n2 3\n3 0\n"))
+    ppath = tmp_path / "dom.txt"
+    ppath.write_text("0 2\n")
+    with_k = run_cli(capsys, "solve", "--dominating", "--l", "2", "--k", "1", gpath)
+    assert run_cli(capsys, "solve", "--dominating", "--l", "2", gpath) == with_k
+    assert with_k[0] == 0
+    verify = ["verify", "--dominating", "--l", "1", "--packing", str(ppath), gpath]
+    assert run_cli(capsys, *verify) == run_cli(capsys, *verify, "--k", "3")
+    assert run_cli(capsys, *verify)[0] == 0
+
+
+def test_packing_without_k_is_a_usage_error(tmp_path, capsys):
+    gpath = write_graph(tmp_path, "c4.graph", parse_graph("4 4\n0 1\n1 2\n2 3\n3 0\n"))
+    tpath = tmp_path / "typed.graph"
+    tpath.write_text("2 1\n0 1 c\n")
+    ppath = tmp_path / "pack.txt"
+    ppath.write_text("0\n")
+    for argv in (
+        ["solve", gpath],
+        ["solve", "/nonexistent/file.graph"],
+        ["verify", "--packing", str(ppath), gpath],
+        ["verify", "--packing", str(ppath), str(tpath)],
+    ):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert stdout == ""
+        assert err.startswith("usage error: ") and "--k" in err
+
+
 def test_verify_typed_graph(tmp_path, capsys):
     gpath = tmp_path / "typed.graph"
     gpath.write_text("2 2\n0 1 c\n0 1 d\n")

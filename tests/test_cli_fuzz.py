@@ -1,0 +1,117 @@
+"""Seeded CLI fuzz test: broken input files never crash the CLI.
+
+Each case mutates a valid plain graph file, typed graph file or packing
+file (truncation, bad tokens, huge or negative counts, duplicate edges,
+typed/untyped mixes, invalid UTF-8) and runs one CLI command on it in a
+child process.  Children run one at a time, each under an address-space
+cap set in that child only.  Every run must end in a documented exit code
+(0 success, 1 invalid certificate or failed solve, 2 usage error, 3 input
+error) and write no traceback.
+"""
+
+import os
+import random
+import resource
+import subprocess
+import sys
+
+from corpus import random_typed_multigraph
+
+import limpack
+from limpack import gen_named, serialize_graph
+
+SEED = 20_261_018
+CASES = 40
+CAP = 128 * 2**20
+
+BAD_TOKENS = [b"x", b"1.5", b"-1", b"nan", b"0x10", b"", b"\xd9\xa3", b"99999999999999999999"]
+COUNTS = [b"0", b"-3", b"64", b"65", b"1000000000", b"-1000000000", b"99999999999999999999"]
+TYPES = [b" c", b" d", b" e", b" c d", b""]
+INVALID_UTF8 = [b"\xff", b"\xc3", b"\xe9\x80", b"\xed\xa0\x80"]
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    kind = rng.choice(["truncate", "token", "count", "duplicate", "type", "utf8"])
+    if kind == "truncate":
+        return data[: rng.randrange(len(data))]
+    if kind == "utf8":
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + rng.choice(INVALID_UTF8) + data[at:]
+    if kind == "duplicate":
+        index = rng.randrange(len(lines))
+        lines.insert(index, lines[rng.randrange(len(lines))])
+        return b"\n".join(lines)
+    index = rng.randrange(len(lines))
+    tokens = lines[index].split() or [b"0"]
+    at = rng.randrange(len(tokens))
+    if kind == "token":
+        tokens[at] = rng.choice(BAD_TOKENS)
+    elif kind == "count":
+        # the header's counts most often, any number otherwise
+        if rng.random() < 0.6:
+            index, tokens = 0, lines[0].split() or [b"0"]
+            at = rng.randrange(len(tokens))
+        tokens[at] = rng.choice(COUNTS)
+    else:
+        lines[index] = b" ".join(tokens[:2]) + rng.choice(TYPES)
+        return b"\n".join(lines)
+    lines[index] = b" ".join(tokens)
+    return b"\n".join(lines)
+
+
+def _commands(graph: str, packing: str) -> list[list[str]]:
+    return [
+        ["solve", "--k", "2", graph],
+        ["solve", "--dominating", "--l", "2", graph],
+        ["verify", "--k", "2", "--packing", packing, graph],
+        ["verify", "--dominating", "--l", "1", "--packing", packing, graph],
+        ["construct", "--method", "cubic2", "--k", "2", graph],
+        ["construct", "--method", "greedy", "--k", "1", graph],
+        ["construct", "--method", "sample-repair", "--k", "2", "--seed", "3", graph],
+        ["construct", "--method", "lll", "--k", "2", "--max-rounds", "200", graph],
+        ["bounds", "--k", "2", graph],
+    ]
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path):
+    rng = random.Random(SEED)
+    bases = {
+        "plain": serialize_graph(gen_named("petersen")).encode(),
+        "typed": serialize_graph(random_typed_multigraph(2, 12)).encode(),
+        "packing": b"# a 2-limited packing\n0 2 4\n6 8\n",
+    }
+    graph_path = tmp_path / "g.graph"
+    packing_path = tmp_path / "p.txt"
+    # -S skips the site hooks, which cost a third of each child's start-up;
+    # the child imports limpack from where this process found it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(limpack.__file__)))
+    seen = set()
+    for case in range(CASES):
+        target = rng.choice(sorted(bases))
+        packing = bases["packing"]
+        if target == "packing":
+            graph = bases[rng.choice(["plain", "typed"])]
+            packing = _mutate(rng, packing)
+        else:
+            graph = _mutate(rng, bases[target])
+        graph_path.write_bytes(graph)
+        packing_path.write_bytes(packing)
+        argv = rng.choice(_commands(str(graph_path), str(packing_path)))
+        out = subprocess.run(
+            [sys.executable, "-S", "-m", "limpack.cli", *argv],
+            capture_output=True,
+            env=env,
+            preexec_fn=_cap_memory,
+            timeout=60,
+        )
+        context = (case, argv, graph, packing, out.stderr)
+        assert out.returncode in (0, 1, 2, 3), context
+        assert b"Traceback" not in out.stderr, context
+        seen.add(out.returncode)
+    # the mutations reach both the accepting and the rejecting paths
+    assert {0, 3} <= seen
