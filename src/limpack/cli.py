@@ -25,15 +25,17 @@ from .generators import gen_cycle, gen_named, gen_projective, gen_random_regular
 from .graph import (
     Graph,
     TypedMultigraph,
+    build_graph,
     degree_stats,
     disjoint_union,
     parse_graph,
     parse_packing,
+    read_edge_lines,
     serialize_graph,
 )
 from .greedy import greedy_packing
 from .randomized import default_lll_parameters, lll_resample, sample_and_repair
-from .solver import max_k_limited, min_tuple_dominating
+from .solver import DEFAULT_VERTEX_LIMIT, _check_size, max_k_limited, min_tuple_dominating
 from .verify import verify_k_limited, verify_tuple_dominating, verify_typed_two_limited
 
 
@@ -146,19 +148,24 @@ def _check_k(args, command: str) -> None:
         raise _UsageError(f"{command} needs --k (or --dominating with --l)")
 
 
-def _read_graph(path: str):
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        return fh.read()
 
 
-def _read_plain_graph(path: str, context: str) -> Graph:
-    g = _read_graph(path)
+def _read_graph(path: str):
+    return parse_graph(_read_text(path))
+
+
+def _plain_graph(g, path: str, context: str) -> Graph:
     if isinstance(g, TypedMultigraph):
         raise GraphInputError(f"{context} requires a plain (untyped) graph file: {path}")
     return g
 
 
 def _cmd_gen(args) -> int:
+    if args.copies < 1:
+        raise _UsageError("--copies must be at least 1")
     family = args.family
     if family == "cycle":
         if args.n is None:
@@ -174,19 +181,17 @@ def _cmd_gen(args) -> int:
         if args.n is None or args.r is None:
             raise _UsageError("gen --family random-regular needs --n and --r")
         g = gen_random_regular(args.n, args.r, args.seed)
-    if args.copies < 1:
-        raise _UsageError("--copies must be at least 1")
-    out = g
-    for _ in range(args.copies - 1):
-        out = disjoint_union(out, g)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_graph(out))
+        fh.write(serialize_graph(disjoint_union(*[g] * args.copies)))
     return 0
 
 
 def _cmd_solve(args) -> int:
     _check_k(args, "solve")
-    g = _read_plain_graph(args.file, "solve")
+    n, edges = read_edge_lines(_read_text(args.file))
+    # refuse a graph over the solvers' limit before building its n vertices
+    _check_size(n, DEFAULT_VERTEX_LIMIT)
+    g = _plain_graph(build_graph(n, edges), args.file, "solve")
     if args.dominating:
         if args.l is None:
             raise _UsageError("solve --dominating needs --l")
@@ -214,7 +219,7 @@ def _cmd_construct(args) -> int:
                 fh.write(trace.to_text())
         _print_witness_report(chosen)
         return 0
-    g = _read_plain_graph(args.file, f"construct --method {method}")
+    g = _plain_graph(_read_graph(args.file), args.file, f"construct --method {method}")
     if method == "greedy":
         chosen = greedy_packing(g, args.k)
         _print_witness_report(chosen)
@@ -253,8 +258,7 @@ def _print_witness(chosen) -> None:
 def _cmd_verify(args) -> int:
     _check_k(args, "verify")
     parsed = _read_graph(args.graph)
-    with open(args.packing, "r", encoding="utf-8") as fh:
-        vertices = parse_packing(fh.read())
+    vertices = parse_packing(_read_text(args.packing))
     if isinstance(parsed, TypedMultigraph):
         if args.dominating:
             raise GraphInputError("typed multigraphs support packing verification only")
@@ -273,7 +277,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.file is not None:
-        g = _read_plain_graph(args.file, "bounds")
+        g = _plain_graph(_read_graph(args.file), args.file, "bounds")
         stats = degree_stats(g)
         avg = 2.0 * stats.edge_count / stats.vertex_count if stats.vertex_count else 0.0
         sheet = bound_sheet(
@@ -290,7 +294,7 @@ def _cmd_bounds(args) -> int:
 def _bench_rows():
     h6 = gen_named("h6")
     h6x2 = disjoint_union(h6, h6)
-    h6x3 = disjoint_union(h6x2, h6)
+    h6x3 = disjoint_union(h6, h6, h6)
     petersen = gen_named("petersen")
     return [
         ("c4", gen_cycle(4), 2),

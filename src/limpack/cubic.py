@@ -35,6 +35,7 @@ from .errors import InternalError, PreconditionError
 from .graph import (
     Graph,
     TypedMultigraph,
+    bfs_levels,
     components_within,
     connected_components,
     degree_stats,
@@ -253,20 +254,14 @@ class _State:
         self._relevel(piece, max(vertices))
         return piece
 
-    def _relevel(self, piece: _Piece, root: int) -> list[int]:
+    def _relevel(self, piece: _Piece, root: int) -> dict[int, int]:
         """Root `piece` at `root` with BFS levels; returns the vertices reached."""
         piece.root = root
+        levels = bfs_levels(self.nadj.__getitem__, root)
         level = self.level
-        level[root] = 0
-        order = [root]
-        seen = {root}
-        for x in order:
-            for y in self.nadj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    level[y] = level[x] + 1
-                    order.append(y)
-        return order
+        for v, d in levels.items():
+            level[v] = d
+        return levels
 
     def _repair(self, piece: _Piece, check: list[tuple[int, int]], steps: int) -> bool:
         """Up to `steps` steps of the level repair, each on the lowest
@@ -445,27 +440,33 @@ def _brooks_class(st: _State, comp: list[int]) -> _Step:
         [(index[u], index[v]) for u in comp for v in st.cadj[u] if u < v],
     )
     coloring = brooks_three_coloring(sub)
-    classes: dict[int, list[int]] = {0: [], 1: [], 2: []}
-    for v in comp:
-        classes[coloring[index[v]]].append(v)
-    best = max((0, 1, 2), key=lambda c: (len(classes[c]), -c))
-    return "brooks", set(comp), [], set(classes[best])
+    best = max((0, 1, 2), key=lambda c: (coloring.count(c), -c))
+    return "brooks", set(comp), [], {v for v, c in zip(comp, coloring) if c == best}
 
 
 def _reduce_degree_one(st: _State, u: int) -> _Step:
     """Vertex u adjacent to a single other vertex v: remove {u, v}, add the
     c-edge between v's other two neighbors only when the proof needs it."""
     (v,) = st.neighbors(u)
-    survivors = sorted(st.neighbors(v) - {u})
-    added: list[tuple[int, int]] = []
-    if len(survivors) == 2:
-        a, b = survivors
-        if u in st.dadj[v] and a in st.dadj[v] and b in st.dadj[v] and b not in st.cadj[a]:
-            added = [(a, b)]
     removed = {u, v}
-    if added and _c_k4_completions(st, added, removed):
+    _, added, k4s = _plan(st, [(v, u)], removed)
+    if k4s:
         raise InternalError("internal error: degree-1 c-edge completed a K4")
     return "degree-1", removed, added, {u}
+
+
+def _plan(
+    st: _State, parents: list[tuple[int, int]], removed: set[int]
+) -> tuple[list[Optional[tuple[int, int]]], list[tuple[int, int]], list]:
+    """The c-edges a rule adds when removing `removed`: the needed pair of
+    each (parent, anchor), the distinct pairs in order, and the c-K4s
+    those would complete (`_c_k4_completions`)."""
+    need = [_needed_pair(st, z, anchor, removed) for z, anchor in parents]
+    added: list[tuple[int, int]] = []
+    for pair in need:
+        if pair and pair not in added:
+            added.append(pair)
+    return need, added, _c_k4_completions(st, added, removed)
 
 
 def _needed_pair(
@@ -498,17 +499,9 @@ def _reduce_degree_two(st: _State, u: int, piece: _Piece) -> _Step:
     has exactly 7 vertices and pair(v) plus w is already 2-limited."""
     v, w = sorted(st.neighbors(u))
     removed = {u, v, w}
-    pair_v = _needed_pair(st, v, u, removed)
-    pair_w = _needed_pair(st, w, u, removed)
-    added = []
-    if pair_v:
-        added.append(pair_v)
-    if pair_w and pair_w != pair_v:
-        added.append(pair_w)
-    k4s = _c_k4_completions(st, added, removed)
+    (pair_v, _), added, k4s = _plan(st, [(v, u), (w, u)], removed)
     if k4s:
-        k4, inside = k4s[0]
-        if len(inside) < 2 or pair_v is None or pair_w is None:
+        if len(k4s[0][1]) < 2:
             raise InternalError("internal error: single degree-2 c-edge completed a K4")
         if piece.size != 7:
             raise InternalError("internal error: degree-2 double K4 outside 7 vertices")
@@ -541,17 +534,10 @@ def _one_triangle(st: _State, u: int, v: int, w: int) -> _Step:
     (a,) = st.neighbors(u) - {v, w}
     (b,) = st.neighbors(v) - {u, w}
     removed = {u, v, w, a, b} | (st.neighbors(w) - {u, v})
-    pair_a = _needed_pair(st, a, u, removed)
-    pair_b = _needed_pair(st, b, v, removed)
-    added = []
-    if pair_a:
-        added.append(pair_a)
-    if pair_b and pair_b != pair_a:
-        added.append(pair_b)
-    k4s = _c_k4_completions(st, added, removed)
+    (pair_a, _), added, k4s = _plan(st, [(a, u), (b, v)], removed)
     if k4s:
         k4, inside = k4s[0]
-        if len(inside) < 2 or pair_a is None or pair_b is None:
+        if len(inside) < 2:
             raise InternalError("internal error: single one-triangle c-edge completed a K4")
         # both pairs live inside the K4; remove it together with
         # {a, b, u, v, w} and take pair(a) plus b
@@ -564,24 +550,18 @@ def _one_triangle(st: _State, u: int, v: int, w: int) -> _Step:
 def _no_triangle(st: _State, u: int, v: int, size: int) -> _Step:
     a, b = sorted(st.neighbors(u) - {v})
     c, d = sorted(st.neighbors(v) - {u})
-    parents = [a, b, c, d]
     if len({a, b, c, d}) != 4:
         raise InternalError("internal error: triangle-free d-edge with shared neighbors")
     removed = {u, v, a, b, c, d}
-    need: dict[int, Optional[tuple[int, int]]] = {
-        z: _needed_pair(st, z, u if z in (a, b) else v, removed) for z in parents
-    }
-    added = []
-    for z in parents:
-        if need[z] and need[z] not in added:
-            added.append(need[z])
-    k4s = _c_k4_completions(st, added, removed)
+    anchor = {a: u, b: u, c: v, d: v}
+    pairs, added, k4s = _plan(st, list(anchor.items()), removed)
     if not k4s:
         return "d-edge-no-triangle", removed, added, {u, v}
 
     k4s.sort(key=lambda item: (len(item[1]), sorted(item[0])))
     k4, inside = k4s[0]
-    involved = [z for z in parents if need[z] in inside]
+    need = dict(zip(anchor, pairs))
+    involved = [z for z in need if need[z] in inside]
     if len(inside) < 2 or len(involved) != len(inside):
         raise InternalError("internal error: malformed c-K4 completion in the"
                            " triangle-free rule")
@@ -592,14 +572,12 @@ def _no_triangle(st: _State, u: int, v: int, size: int) -> _Step:
         return "d-edge-no-triangle-c-k4-pair", removed_special, [], pick
     if len(inside) == 3:
         x, y = involved[0], involved[1]
-        leftover = next(z for z in parents if z not in involved)
+        leftover = next(z for z in need if z not in involved)
         removed_special = set(k4) | removed
         pick = {need[x][0], need[x][1], y, v}
-        extra: list[tuple[int, int]] = []
-        pair_left = need[leftover]
-        if pair_left and not (set(pair_left) & removed_special):
-            extra.append(pair_left)
-        if extra and _c_k4_completions(st, extra, removed_special):
+        # the leftover parent's pair stays needed unless the K4 holds an end
+        _, extra, k4s = _plan(st, [(leftover, anchor[leftover])], removed_special)
+        if k4s:
             raise InternalError("internal error: leftover c-edge completed a K4")
         return "d-edge-no-triangle-c-k4-triple", removed_special, extra, pick
     # all four added edges in one K4: the component is exactly these 10
@@ -635,22 +613,18 @@ def _c_k4_completions(
     """
     if not added:
         return []
-    added_set = {frozenset(e) for e in added}
-
-    def c_star(x: int, y: int) -> bool:
-        return y in st.cadj[x] or frozenset((x, y)) in added_set
 
     def c_star_nbrs(x: int) -> set[int]:
         out = set(st.cadj[x])
-        for e in added_set:
+        for e in added:
             if x in e:
-                out |= e - {x}
+                out |= set(e) - {x}
         return out - removed
 
     found: dict[frozenset[int], list[tuple[int, int]]] = {}
     for x, y in added:
         for z, t in combinations(sorted(c_star_nbrs(x) & c_star_nbrs(y)), 2):
-            if c_star(z, t):
+            if t in c_star_nbrs(z):
                 k4 = frozenset((x, y, z, t))
                 if k4 not in found:
                     inside = [
@@ -712,8 +686,7 @@ def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
         _split_at_cut_vertex(g, components_within(g.neighbors, comp_set - {cut}), cut, colors)
         return
     for v in comp:
-        nbrs = sorted(g.adj[v])
-        for a, b in combinations(nbrs, 2):
+        for a, b in combinations(g.adj[v], 2):
             if (
                 not g.has_edge(a, b)
                 and len(components_within(g.neighbors, comp_set - {a, b})) <= 1
@@ -788,16 +761,7 @@ def _reverse_bfs_color(
     Precolored vertices (outside vertex_set) count as colored neighbors.
     Every non-root vertex still has its BFS parent uncolored when its
     turn comes, so 3 colors always suffice when deg(root) < 3 inside."""
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        w = order[i]
-        i += 1
-        for x in sorted(g.adj[w]):
-            if x in vertex_set and x not in seen:
-                seen.add(x)
-                order.append(x)
+    order = list(bfs_levels(g.neighbors, root, vertex_set))
     local: dict[int, int] = dict(pre)
     for w in reversed(order):
         used = {local[x] for x in g.adj[w] if x in local}

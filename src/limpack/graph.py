@@ -14,9 +14,8 @@ a ``TypedMultigraph`` whose untyped lines default to type d.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Container, Iterable, NamedTuple, Optional, Union
 
 from .errors import GraphInputError
 
@@ -85,26 +84,18 @@ class TypedMultigraph:
     def from_edges(n: int, edges: Iterable[tuple[int, int, str]]) -> "TypedMultigraph":
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
-        c_nbrs: list[set[int]] = [set() for _ in range(n)]
-        d_nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: dict[str, list[set[int]]] = {t: [set() for _ in range(n)] for t in "cd"}
         for u, v, t in edges:
             _check_endpoint(u, n)
             _check_endpoint(v, n)
             if u == v:
                 raise GraphInputError(f"self-loop at vertex {u}")
-            if t == "c":
-                c_nbrs[u].add(v)
-                c_nbrs[v].add(u)
-            elif t == "d":
-                d_nbrs[u].add(v)
-                d_nbrs[v].add(u)
-            else:
+            if t not in ("c", "d"):
                 raise GraphInputError(f"unknown edge type {t!r} (expected 'c' or 'd')")
-        return TypedMultigraph(
-            n,
-            tuple(tuple(sorted(s)) for s in c_nbrs),
-            tuple(tuple(sorted(s)) for s in d_nbrs),
-        )
+            nbrs[t][u].add(v)
+            nbrs[t][v].add(u)
+        c_adj, d_adj = (tuple(tuple(sorted(s)) for s in nbrs[t]) for t in "cd")
+        return TypedMultigraph(n, c_adj, d_adj)
 
     @staticmethod
     def from_graph(g: Graph) -> "TypedMultigraph":
@@ -160,30 +151,39 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(max(degs), min(degs), g.n, sum(degs) // 2)
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Place g1 and g2 side by side; g2's vertices are shifted by g1.n."""
-    shift = g1.n
-    shifted = tuple(tuple(u + shift for u in nbrs) for nbrs in g2.adj)
-    return Graph(g1.n + g2.n, g1.adj + shifted)
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Place the graphs side by side, in one pass; each graph's vertices
+    are shifted by the vertex count of the graphs before it (the first
+    graph's neighbor tuples are shared, not copied)."""
+    adj: list[tuple[int, ...]] = []
+    for g in graphs:
+        shift = len(adj)
+        adj += [tuple(u + shift for u in nbrs) for nbrs in g.adj] if shift else g.adj
+    return Graph(len(adj), tuple(adj))
 
 
 def pairwise_distance(g: Graph, u: int, v: int) -> Optional[int]:
     """BFS edge distance from u to v, or None if unreachable."""
     _check_endpoint(u, g.n)
     _check_endpoint(v, g.n)
-    if u == v:
-        return 0
-    seen = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for x in g.adj[w]:
-            if x not in seen:
-                seen[x] = seen[w] + 1
-                if x == v:
-                    return seen[x]
-                queue.append(x)
-    return None
+    return bfs_levels(g.adj.__getitem__, u).get(v)
+
+
+def bfs_levels(
+    neighbors: Callable[[int], Iterable[int]], root: int, within: Optional[Container[int]] = None
+) -> dict[int, int]:
+    """BFS level of every vertex reached from `root`, passing only through
+    vertices in `within` when it is given; the dict lists them in BFS
+    order.  `neighbors(v)` lists v's neighbors."""
+    level = {root: 0}
+    order = [root]
+    for x in order:
+        next_level = level[x] + 1
+        for y in neighbors(x):
+            if y not in level and (within is None or y in within):
+                level[y] = next_level
+                order.append(y)
+    return level
 
 
 def components_within(
@@ -194,18 +194,9 @@ def components_within(
     left = set(within)
     comps = []
     for start in sorted(left):
-        if start not in left:
-            continue
-        left.discard(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            for x in neighbors(stack.pop()):
-                if x in left:
-                    left.discard(x)
-                    comp.append(x)
-                    stack.append(x)
-        comps.append(sorted(comp))
+        if start in left:
+            comps.append(sorted(bfs_levels(neighbors, start, left)))
+            left.difference_update(comps[-1])
     return comps
 
 
@@ -221,10 +212,15 @@ def parse_graph(text: str) -> Union[Graph, TypedMultigraph]:
     TypedMultigraph (untyped lines default to d).  Errors report the
     offending 1-based line number.
     """
+    return build_graph(*read_edge_lines(text))
+
+
+def read_edge_lines(text: str) -> tuple[int, list[tuple[int, int, Optional[str]]]]:
+    """The header's vertex count and the edge lines (u, v, type or None)
+    of the edge-list format, each line checked as `parse_graph` does; no
+    adjacency is built, so a caller can check the vertex count first."""
     header: Optional[tuple[int, int]] = None
     raw_edges: list[tuple[int, int, Optional[str]]] = []
-    any_typed = False
-    edges_seen = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -242,7 +238,7 @@ def parse_graph(text: str) -> Union[Graph, TypedMultigraph]:
             header = (n, m)
             continue
         n, m = header
-        if edges_seen >= m:
+        if len(raw_edges) >= m:
             raise GraphInputError(f"line {lineno}: more than {m} edge lines")
         if len(parts) not in (2, 3):
             raise GraphInputError(f"line {lineno}: expected 'u v' or 'u v c|d'")
@@ -259,28 +255,31 @@ def parse_graph(text: str) -> Union[Graph, TypedMultigraph]:
             if parts[2] not in ("c", "d"):
                 raise GraphInputError(f"line {lineno}: edge type must be 'c' or 'd'")
             t = parts[2]
-            any_typed = True
         raw_edges.append((u, v, t))
-        edges_seen += 1
     if header is None:
         raise GraphInputError("line 1: missing header 'n m'")
     n, m = header
-    if edges_seen != m:
-        raise GraphInputError(f"expected {m} edge lines, found {edges_seen}")
-    if any_typed:
+    if len(raw_edges) != m:
+        raise GraphInputError(f"expected {m} edge lines, found {len(raw_edges)}")
+    return n, raw_edges
+
+
+def build_graph(
+    n: int, raw_edges: list[tuple[int, int, Optional[str]]]
+) -> Union[Graph, TypedMultigraph]:
+    """The graph of `read_edge_lines`' output: typed if any line is."""
+    if any(t for _, _, t in raw_edges):
         return TypedMultigraph.from_edges(n, [(u, v, t or "d") for u, v, t in raw_edges])
     return Graph.from_edges(n, [(u, v) for u, v, _ in raw_edges])
 
 
 def serialize_graph(g: Union[Graph, TypedMultigraph]) -> str:
     """Inverse of parse_graph, stable under round-trips up to edge order."""
+    edges = g.edges()
+    lines = [f"{g.n} {len(edges)}"]
     if isinstance(g, TypedMultigraph):
-        edges = g.edges()
-        lines = [f"{g.n} {len(edges)}"]
         lines += [f"{u} {v} {t}" for u, v, t in edges]
     else:
-        edges = g.edges()
-        lines = [f"{g.n} {len(edges)}"]
         lines += [f"{u} {v}" for u, v in edges]
     return "\n".join(lines) + "\n"
 
@@ -307,5 +306,7 @@ def serialize_packing(vertices: Iterable[int]) -> str:
 
 
 def _check_endpoint(v: int, n: int) -> None:
+    if type(v) is not int:
+        raise GraphInputError(f"vertex {v!r} is not an int")
     if not (0 <= v < n):
         raise GraphInputError(f"vertex {v} out of range for graph with {n} vertices")

@@ -43,6 +43,14 @@ def test_gen_copies(tmp_path, capsys):
     assert g.n == 18 and g.m == 27
 
 
+def test_gen_checks_copies_before_generating(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "gen", "--family", "cycle", "--copies", "0", "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert err == "usage error: --copies must be at least 1\n"
+
+
 def test_gen_projective(tmp_path, capsys):
     out = str(tmp_path / "p.graph")
     code, _, _ = run_cli(
@@ -150,6 +158,28 @@ def test_out_of_memory_exits_three(tmp_path):
     assert out.returncode == 3
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [["--k", "1"], ["--dominating", "--l", "1"]])
+def test_solve_checks_vertex_limit_before_building(tmp_path, argv):
+    """A header over the solvers' vertex limit is refused before the
+    adjacency of its n vertices is built, even under a small memory cap
+    (set in the child process only)."""
+    import resource
+
+    cap = 128 * 2**20
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000 0\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "limpack.cli", "solve", *argv, str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "limit 64" in out.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

@@ -4,7 +4,8 @@
   step, against a full scan of its component (the oracle fixture);
 * seeded sets and traces at n = 2000-8000, too large for the recursive
   reference in ``reference_cubic``, hash as they did before the queries
-  became incremental;
+  became incremental, and so do those of a shuffled binary tree and comb,
+  which split their pieces hundreds of times;
 * `brooks_three_coloring` agrees with ``reference_brooks``, which finds
   the lowest cut vertex by one search per vertex.
 """
@@ -58,6 +59,40 @@ def _sha(text: str) -> str:
 def test_large_random_cubic_matches_recorded_hashes(n, seed):
     chosen, trace = construct_two_limited(TypedMultigraph.from_graph(gen_random_regular(n, 3, seed)))
     assert (_sha(" ".join(map(str, sorted(chosen)))), _sha(trace.to_text())) == LARGE[n, seed]
+
+
+def _shuffled(n: int, edges) -> Graph:
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _binary_tree() -> Graph:
+    return _shuffled(8191, [((v - 1) // 2, v) for v in range(1, 8191)])
+
+
+def _comb() -> Graph:
+    path = [(i, i + 1) for i in range(3999)]
+    return _shuffled(8000, path + [(i, 4000 + i) for i in range(4000)])
+
+
+# the same hashes for two graphs whose runs split pieces over and over
+# (random cubic graphs split only 2-4 times per run), recorded before the
+# c-edge planner and the shared BFS helper: a complete binary tree of
+# depth 13 (1101 splits) and a path with one pendant leaf per vertex
+# (800 splits), labels shuffled
+SPLITTING = {
+    _binary_tree: ("dd7024d3d92bb05144c320c420e788a6cf3078d6bc0f07ada7d6dd0299fb6bfe",
+                   "8f4b415b6106449fa9ee8a1d1783fa523e6c7d85b512051acd30129ff1739655"),
+    _comb: ("be8cb28205ad669bec80c821ccdb0107e281f15f0b91efe9ee1026ce3f9fa507",
+            "f19f35ca0ad3dd032d197b399359e0ff6c01a223723adcabbdc5538a3cf28245"),
+}
+
+
+@pytest.mark.parametrize("build", list(SPLITTING), ids=["binary-tree", "comb"])
+def test_splitting_graphs_match_recorded_hashes(build):
+    chosen, trace = construct_two_limited(TypedMultigraph.from_graph(build()))
+    assert (_sha(" ".join(map(str, sorted(chosen)))), _sha(trace.to_text())) == SPLITTING[build]
 
 
 def test_scale_smoke():

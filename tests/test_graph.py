@@ -67,6 +67,18 @@ def test_disjoint_union_additive_and_associative_counts(h6, petersen):
     )
 
 
+def test_disjoint_union_of_many_equals_chained_pairs(h6, petersen):
+    """One pass over 1-4 graphs gives what chaining two-graph unions gave."""
+    pool = [gen_cycle(5), h6, Graph.from_edges(0, []), petersen, Graph.from_edges(2, [(0, 1)])]
+    for count in range(1, 5):
+        for start in range(len(pool)):
+            graphs = [pool[(start + i) % len(pool)] for i in range(count)]
+            chained = graphs[0]
+            for g in graphs[1:]:
+                chained = disjoint_union(chained, g)
+            assert disjoint_union(*graphs) == chained
+
+
 def test_pairwise_distance():
     c6 = gen_cycle(6)
     assert pairwise_distance(c6, 0, 3) == 3
@@ -171,6 +183,20 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(1, 1)])
     with pytest.raises(GraphInputError):
         Graph.from_edges(-1, [])
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_from_edges_rejects_endpoints_that_are_not_ints(bad):
+    """An endpoint must be an int: True would be stored and serialized as
+    a neighbor named 'True', and 1.5 or '1' failed with a bare TypeError."""
+    with pytest.raises(GraphInputError, match="not an int"):
+        Graph.from_edges(3, [(0, bad)])
+    with pytest.raises(GraphInputError, match="not an int"):
+        Graph.from_edges(3, [(bad, 0)])
+    with pytest.raises(GraphInputError, match="not an int"):
+        TypedMultigraph.from_edges(3, [(0, bad, "d")])
+    with pytest.raises(GraphInputError, match="not an int"):
+        TypedMultigraph.from_edges(3, [(bad, 0, "c")])
 
 
 def test_typed_promotion(h6):
