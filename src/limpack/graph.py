@@ -36,15 +36,13 @@ class Graph:
         """
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        edges = list(edges)
         for u, v in edges:
             _check_endpoint(u, n)
             _check_endpoint(v, n)
             if u == v:
                 raise GraphInputError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+        return _build_plain(n, edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         _check_endpoint(v, self.n)
@@ -84,7 +82,7 @@ class TypedMultigraph:
     def from_edges(n: int, edges: Iterable[tuple[int, int, str]]) -> "TypedMultigraph":
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
-        nbrs: dict[str, list[set[int]]] = {t: [set() for _ in range(n)] for t in "cd"}
+        edges = list(edges)
         for u, v, t in edges:
             _check_endpoint(u, n)
             _check_endpoint(v, n)
@@ -92,10 +90,7 @@ class TypedMultigraph:
                 raise GraphInputError(f"self-loop at vertex {u}")
             if t not in ("c", "d"):
                 raise GraphInputError(f"unknown edge type {t!r} (expected 'c' or 'd')")
-            nbrs[t][u].add(v)
-            nbrs[t][v].add(u)
-        c_adj, d_adj = (tuple(tuple(sorted(s)) for s in nbrs[t]) for t in "cd")
-        return TypedMultigraph(n, c_adj, d_adj)
+        return _build_typed(n, edges)
 
     @staticmethod
     def from_graph(g: Graph) -> "TypedMultigraph":
@@ -147,7 +142,7 @@ def degree_stats(g: Graph) -> DegreeStats:
     """(max degree, min degree, n, m); an empty graph reports 0, 0, 0, 0."""
     if g.n == 0:
         return DegreeStats(0, 0, 0, 0)
-    degs = [len(a) for a in g.adj]
+    degs = list(map(len, g.adj))
     return DegreeStats(max(degs), min(degs), g.n, sum(degs) // 2)
 
 
@@ -267,10 +262,30 @@ def read_edge_lines(text: str) -> tuple[int, list[tuple[int, int, Optional[str]]
 def build_graph(
     n: int, raw_edges: list[tuple[int, int, Optional[str]]]
 ) -> Union[Graph, TypedMultigraph]:
-    """The graph of `read_edge_lines`' output: typed if any line is."""
+    """The graph of `read_edge_lines`' output: typed if any line is.  The
+    lines are already checked, so the adjacency is built directly."""
     if any(t for _, _, t in raw_edges):
-        return TypedMultigraph.from_edges(n, [(u, v, t or "d") for u, v, t in raw_edges])
-    return Graph.from_edges(n, [(u, v) for u, v, _ in raw_edges])
+        return _build_typed(n, [(u, v, t or "d") for u, v, t in raw_edges])
+    return _build_plain(n, [(u, v) for u, v, _ in raw_edges])
+
+
+def _build_plain(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """The graph of checked edges (endpoints in range, no self-loops)."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+
+
+def _build_typed(n: int, edges: list[tuple[int, int, str]]) -> TypedMultigraph:
+    """The typed multigraph of checked edges (types 'c' or 'd' only)."""
+    nbrs: dict[str, list[set[int]]] = {t: [set() for _ in range(n)] for t in "cd"}
+    for u, v, t in edges:
+        nbrs[t][u].add(v)
+        nbrs[t][v].add(u)
+    c_adj, d_adj = (tuple(tuple(sorted(s)) for s in nbrs[t]) for t in "cd")
+    return TypedMultigraph(n, c_adj, d_adj)
 
 
 def serialize_graph(g: Union[Graph, TypedMultigraph]) -> str:

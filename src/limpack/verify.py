@@ -11,6 +11,7 @@ members of X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Union
 
 from .errors import GraphInputError, PreconditionError
@@ -82,32 +83,49 @@ def verify_k_limited(g: Graph, vertices: Iterable[int], k: int) -> VerificationR
     """Check |N[v] ∩ X| <= k for every vertex, listing all offenders."""
     if k < 1:
         raise GraphInputError(f"k must be positive, got {k}")
-    return _verify_limited(TypedMultigraph.from_graph(g), vertices, k)
+    return _verify_limited(g.n, (), g.adj, vertices, k)
 
 
 def verify_typed_two_limited(tm: TypedMultigraph, vertices: Iterable[int]) -> VerificationReport:
     """Check the typed 2-limited conditions; c-edge and d-neighborhood
     violations are reported separately (c-edges first)."""
-    return _verify_limited(tm, vertices, 2)
+    return _verify_limited(tm.n, tm.c_adj, tm.d_adj, vertices, 2)
 
 
 def verify_tuple_dominating(g: Graph, vertices: Iterable[int], l: int) -> VerificationReport:
-    """Check |N[v] ∩ D| >= l for every vertex."""
+    """Check |N[v] ∩ D| >= l for every vertex.
+
+    When D holds more than half the vertices, the complement is counted
+    instead: |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D| on any graph."""
     if l < 1:
         raise GraphInputError(f"l must be positive, got {l}")
-    counts = closed_counts(g.adj, _check_subset(vertices, g.n))
+    ds = _check_subset(vertices, g.n)
+    if 2 * len(ds) > g.n:
+        outside = closed_counts(g.adj, filterfalse(ds.__contains__, range(g.n)))
+        counts = [len(a) + 1 - c for a, c in zip(g.adj, outside)]
+    else:
+        counts = closed_counts(g.adj, ds)
     violations = tuple(VertexViolation(v, c, l) for v, c in enumerate(counts) if c < l)
     return VerificationReport(not violations, violations)
 
 
-def _verify_limited(tm: TypedMultigraph, vertices: Iterable[int], cap: int) -> VerificationReport:
+def _verify_limited(
+    n: int,
+    c_adj: tuple[tuple[int, ...], ...],
+    d_adj: tuple[tuple[int, ...], ...],
+    vertices: Iterable[int],
+    cap: int,
+) -> VerificationReport:
     """List the c-edges inside X in ascending order, then every vertex whose
-    closed d-neighborhood holds more than `cap` members of X."""
-    xs = _check_subset(vertices, tm.n)
-    violations: list[Violation] = [
-        CEdgeViolation(u, v) for u in sorted(xs) for v in tm.c_adj[u] if u < v and v in xs
-    ]
-    counts = closed_counts(tm.d_adj, xs)
+    closed d-neighborhood holds more than `cap` members of X.  A plain
+    graph passes its adjacency as `d_adj` and no `c_adj` at all."""
+    xs = _check_subset(vertices, n)
+    violations: list[Violation] = []
+    if c_adj:
+        violations += [
+            CEdgeViolation(u, v) for u in sorted(xs) for v in c_adj[u] if u < v and v in xs
+        ]
+    counts = closed_counts(d_adj, xs)
     violations += [VertexViolation(v, c, cap) for v, c in enumerate(counts) if c > cap]
     return VerificationReport(not violations, tuple(violations))
 
@@ -121,7 +139,7 @@ def dual_complement(g: Graph, vertices: Iterable[int], k: int) -> frozenset[int]
     xs = _check_subset(vertices, g.n)
     if g.n == 0:
         raise PreconditionError("dual_complement needs a nonempty regular graph")
-    degs = {len(a) for a in g.adj}
+    degs = set(map(len, g.adj))
     if len(degs) != 1:
         raise PreconditionError(f"graph is not regular (degrees {sorted(degs)})")
     r = degs.pop()

@@ -1,9 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# Tests that start `python -m limpack.cli` in a child process need the
+# source tree on the child's import path too, as pyproject gives pytest.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 from limpack import Graph, gen_cycle, gen_named, gen_random_regular
 

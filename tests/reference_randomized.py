@@ -1,12 +1,13 @@
-"""Frozen copies of the seed's pairing generator and randomized constructors.
+"""Frozen copies of the seed's pairing generator and randomized constructors,
+and of the capacity-scan greedy packing.
 
 The differential test in ``test_randomized_reference.py`` compares the
-current ``gen_random_regular``, ``sample_and_repair`` and ``lll_resample``
-against these functions on seeded inputs: same edge lists, same vertex
-sets, same counters.  They rescan every live stub per pairing and every
-closed neighbourhood per resampling round, so they are quadratic in n;
-keep the inputs small.  Do not change this module when the library
-changes.
+current ``gen_random_regular``, ``sample_and_repair``, ``lll_resample``
+and ``greedy_packing`` against these functions on seeded inputs: same
+edge lists, same vertex sets, same counters.  They rescan every live
+stub per pairing and every closed neighbourhood per resampling round, so
+they are quadratic in n; keep the inputs small.  Do not change this
+module when the library changes.
 """
 
 from __future__ import annotations
@@ -104,3 +105,16 @@ def _lowest_violated(g: Graph, chosen: set[int], k: int) -> Optional[int]:
         if count >= k + 1:
             return v
     return None
+
+
+def greedy_packing(g: Graph, k: int) -> frozenset[int]:
+    """The greedy packing that checks the caps of all of N[v] for every v."""
+    caps = [k] * g.n
+    chosen: set[int] = set()
+    for v in range(g.n):
+        if caps[v] >= 1 and all(caps[u] >= 1 for u in g.adj[v]):
+            chosen.add(v)
+            caps[v] -= 1
+            for u in g.adj[v]:
+                caps[u] -= 1
+    return frozenset(chosen)

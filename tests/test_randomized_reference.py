@@ -11,6 +11,7 @@ import random
 
 import pytest
 import reference_randomized as ref
+from corpus import random_typed_multigraph
 
 from limpack import (
     Graph,
@@ -19,6 +20,7 @@ from limpack import (
     gen_cycle,
     gen_named,
     gen_random_regular,
+    greedy_packing,
     lll_resample,
     sample_and_repair,
     verify_k_limited,
@@ -100,6 +102,44 @@ def test_sample_and_repair_matches_reference(g):
                 report = sample_and_repair(g, k, p=p, seed=seed)
                 got = (report.packing.vertices, report.repairs)
                 assert got == ref.sample_and_repair(g, k, p=p, seed=seed)
+
+
+def _corpus_plain_graphs():
+    """The typed corpus with edge types dropped (most are not regular, many
+    have isolated vertices), a star with isolated vertices, and an
+    edgeless graph."""
+    for seed in range(30):
+        tm = random_typed_multigraph(seed, 4 + seed % 17)
+        yield Graph.from_edges(tm.n, [(u, v) for u, v, _ in tm.edges()])
+    yield Graph.from_edges(10, [(0, u) for u in range(1, 8)])
+    yield Graph.from_edges(5, [])
+
+
+def test_greedy_packing_matches_reference():
+    regular = [
+        gen_random_regular(n, r, seed) for n, r in ((60, 3), (100, 4), (200, 10)) for seed in range(2)
+    ]
+    for g in [*_corpus_plain_graphs(), *regular]:
+        for k in range(1, degree_stats(g).max_degree + 3):
+            assert greedy_packing(g, k) == ref.greedy_packing(g, k)
+
+
+def _sample_and_repair_matches(g, ks, seeds):
+    for k in ks:
+        for p in ("auto", 0.5, 1.0):
+            for seed in seeds:
+                report = sample_and_repair(g, k, p=p, seed=seed)
+                got = (report.packing.vertices, report.repairs)
+                assert got == ref.sample_and_repair(g, k, p=p, seed=seed)
+
+
+def test_sample_and_repair_matches_reference_on_corpus():
+    for g in _corpus_plain_graphs():
+        _sample_and_repair_matches(g, range(1, degree_stats(g).max_degree + 2), range(3))
+
+
+def test_sample_and_repair_matches_reference_dense():
+    _sample_and_repair_matches(gen_random_regular(4000, 10, seed=5), (1, 2, 5, 9), range(2))
 
 
 def test_scale_smoke():

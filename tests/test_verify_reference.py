@@ -18,6 +18,7 @@ from limpack import (
     GraphInputError,
     TypedMultigraph,
     degree_stats,
+    disjoint_union,
     gen_random_regular,
     verify_k_limited,
     verify_tuple_dominating,
@@ -56,6 +57,18 @@ def test_plain_verifiers_match_reference():
             for k in range(1, top + 1):
                 _same(verify_k_limited(g, xs, k), ref.verify_k_limited(g, xs, k))
                 _same(verify_tuple_dominating(g, xs, k), ref.verify_tuple_dominating(g, xs, k))
+
+
+def test_tuple_dominating_at_half_matches_reference():
+    """|D| on both sides of n/2, where the count switches to the complement."""
+    rng = random.Random(2)
+    for g in _plain_graphs():
+        g = disjoint_union(g, Graph.from_edges(3, []))
+        for size in (g.n // 2, g.n // 2 + 1):
+            for _ in range(3):
+                ds = rng.sample(range(g.n), size)
+                for l in range(1, degree_stats(g).max_degree + 3):
+                    _same(verify_tuple_dominating(g, ds, l), ref.verify_tuple_dominating(g, ds, l))
 
 
 @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
