@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GraphInputError
+from .errors import GraphInputError, _check_positive
 
 Value = Union[Fraction, float]
 
@@ -100,8 +100,7 @@ def bound_sheet(
     conversion.  avg_degree defaults to min_degree (exact for regular
     graphs); pass the true average when it is known.
     """
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     if n < 0:
         raise GraphInputError(f"n must be nonnegative, got {n}")
     if max_degree < min_degree or min_degree < 0:

@@ -32,6 +32,7 @@ from .graph import (
     parse_packing,
     read_edge_lines,
     serialize_graph,
+    serialize_packing,
 )
 from .greedy import greedy_packing
 from .randomized import default_lll_parameters, lll_resample, sample_and_repair
@@ -203,7 +204,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    """Print the size, the run's report lines, then the witness as a
+    packing-file line."""
     method = args.method
+    report_lines: list[str] = []
+    success = True
     if method == "cubic2":
         if args.k != 2:
             raise _UsageError("construct --method cubic2 requires --k 2")
@@ -217,42 +222,36 @@ def _cmd_construct(args) -> int:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(trace.to_text())
-        _print_witness_report(chosen)
-        return 0
-    g = _plain_graph(_read_graph(args.file), args.file, f"construct --method {method}")
-    if method == "greedy":
-        chosen = greedy_packing(g, args.k)
-        _print_witness_report(chosen)
-        return 0
-    if method == "sample-repair":
-        p = "auto" if args.p is None else args.p
-        report = sample_and_repair(g, args.k, p=p, seed=args.seed)
-        print(f"size: {len(report.packing.vertices)}")
-        print(f"rounds: {report.rounds}")
-        print(f"repairs: {report.repairs}")
-        print("clamped: false")
-        _print_witness(report.packing.vertices)
-        return 0
-    # lll
-    params = None
-    if args.p is not None:
-        params = replace(default_lll_parameters(g, args.k), p=args.p)
-    report = lll_resample(g, args.k, params=params, seed=args.seed, max_rounds=args.max_rounds)
-    print(f"size: {len(report.packing.vertices)}")
-    print(f"rounds: {report.rounds}")
-    print(f"clamped: {'true' if report.params and report.params.clamped else 'false'}")
-    print(f"success: {'true' if report.success else 'false'}")
-    _print_witness(report.packing.vertices)
-    return 0 if report.success else 1
-
-
-def _print_witness_report(chosen) -> None:
+    else:
+        g = _plain_graph(_read_graph(args.file), args.file, f"construct --method {method}")
+        if method == "greedy":
+            chosen = greedy_packing(g, args.k)
+        elif method == "sample-repair":
+            p = "auto" if args.p is None else args.p
+            report = sample_and_repair(g, args.k, p=p, seed=args.seed)
+            chosen = report.packing.vertices
+            report_lines = [
+                f"rounds: {report.rounds}", f"repairs: {report.repairs}", "clamped: false"
+            ]
+        else:  # lll
+            params = None
+            if args.p is not None:
+                params = replace(default_lll_parameters(g, args.k), p=args.p)
+            report = lll_resample(
+                g, args.k, params=params, seed=args.seed, max_rounds=args.max_rounds
+            )
+            chosen = report.packing.vertices
+            success = report.success
+            report_lines = [
+                f"rounds: {report.rounds}",
+                f"clamped: {'true' if report.params and report.params.clamped else 'false'}",
+                f"success: {'true' if success else 'false'}",
+            ]
     print(f"size: {len(chosen)}")
-    _print_witness(chosen)
-
-
-def _print_witness(chosen) -> None:
-    print("witness: " + " ".join(str(v) for v in sorted(chosen)))
+    for line in report_lines:
+        print(line)
+    sys.stdout.write("witness: " + serialize_packing(chosen))
+    return 0 if success else 1
 
 
 def _cmd_verify(args) -> int:

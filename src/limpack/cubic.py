@@ -671,9 +671,6 @@ def brooks_three_coloring(g: Graph) -> tuple[int, ...]:
 
 
 def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
-    if len(comp) == 1:
-        colors[comp[0]] = 0
-        return
     comp_set = set(comp)
     if len(comp) == 4 and all(len(g.adj[v]) == 3 for v in comp):
         raise PreconditionError(f"component {comp} is K4")

@@ -1,4 +1,4 @@
-"""Exception types shared by all limpack modules.
+"""Exception types shared by all limpack modules, and their one limit check.
 
 The CLI maps these onto exit codes: input and precondition problems are
 exit 3, resource limits exit 3, infeasibility exit 1, and a broken
@@ -29,3 +29,9 @@ class InfeasibleError(LimpackError, ValueError):
 
 class InternalError(LimpackError, RuntimeError):
     """An internal invariant of an algorithm does not hold: a bug in limpack."""
+
+
+def _check_positive(name: str, value: int) -> None:
+    """Every limit k or l of a packing or domination problem is at least 1."""
+    if value < 1:
+        raise GraphInputError(f"{name} must be positive, got {value}")

@@ -30,41 +30,24 @@ class GaloisField:
 
     Elements are the integers 0..q-1; for prime powers the base-p digits
     of an element are the coefficients of its polynomial representative.
+    A prime field builds no table, so constructing one is O(1).
     """
 
     def __init__(self, q: int):
-        if q >= 2 and _is_prime(q):
-            self.q = q
-            self._prime = True
-        elif q in _PRIME_POWER_FIELDS:
-            self.q = q
-            self._prime = False
-            p, deg, poly = _PRIME_POWER_FIELDS[q]
-            self._p = p
-            self._mul = _build_mul_table(p, deg, poly)
-            self._inv = {}
-            for a in range(1, q):
-                for b in range(1, q):
-                    if self._mul[a][b] == 1:
-                        self._inv[a] = b
-                        break
-        else:
-            raise GraphInputError(
-                f"unsupported field order {q}: q must be prime or one of"
-                f" {sorted(_PRIME_POWER_FIELDS)}"
-            )
+        self.q = q
+        self._prime = _is_prime(q)
+        if not self._prime:
+            if q not in _PRIME_POWER_FIELDS:
+                raise GraphInputError(
+                    f"unsupported field order {q}: q must be prime or one of"
+                    f" {sorted(_PRIME_POWER_FIELDS)}"
+                )
+            self._add, self._mul = _build_tables(*_PRIME_POWER_FIELDS[q])
 
     def add(self, a: int, b: int) -> int:
         if self._prime:
             return (a + b) % self.q
-        p = self._p
-        total, shift = 0, 1
-        while a or b:
-            total += ((a % p + b % p) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return total
+        return self._add[a][b]
 
     def mul(self, a: int, b: int) -> int:
         if self._prime:
@@ -76,7 +59,7 @@ class GaloisField:
             raise GraphInputError("zero has no multiplicative inverse")
         if self._prime:
             return pow(a, self.q - 2, self.q)
-        return self._inv[a]
+        return self._mul[a].index(1)
 
     def dot(self, u: tuple[int, ...], w: tuple[int, ...]) -> int:
         total = 0
@@ -106,14 +89,13 @@ def projective_points(q: int, k: int) -> list[ProjectivePoint]:
     if k < 1:
         raise GraphInputError(f"k must be at least 1, got {k}")
     GaloisField(q)  # validates q
-    pts = []
-    for vec in product(range(q), repeat=k + 2):
-        for c in vec:
-            if c != 0:
-                if c == 1:
-                    pts.append(ProjectivePoint(vec))
-                break
-    return pts
+    # the leading 1 moves from the last position to the first, so each
+    # block of points follows every point with more leading zeros
+    return [
+        ProjectivePoint((0,) * i + (1,) + suffix)
+        for i in reversed(range(k + 2))
+        for suffix in product(range(q), repeat=k + 1 - i)
+    ]
 
 
 def gen_projective(q: int, k: int) -> Graph:
@@ -279,8 +261,11 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _build_mul_table(p: int, deg: int, poly: tuple[int, ...]) -> list[list[int]]:
-    """Multiplication table for GF(p^deg) with the given irreducible polynomial."""
+def _build_tables(
+    p: int, deg: int, poly: tuple[int, ...]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication tables for GF(p^deg) with the given
+    irreducible polynomial."""
     q = p**deg
 
     def digits(a: int) -> list[int]:
@@ -296,10 +281,12 @@ def _build_mul_table(p: int, deg: int, poly: tuple[int, ...]) -> list[list[int]]
             total = total * p + c
         return total
 
-    table = [[0] * q for _ in range(q)]
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
     for a in range(q):
         for b in range(q):
             da, db = digits(a), digits(b)
+            add[a][b] = undigits([(ca + cb) % p for ca, cb in zip(da, db)])
             prod = [0] * (2 * deg - 1)
             for i, ca in enumerate(da):
                 if ca:
@@ -312,5 +299,5 @@ def _build_mul_table(p: int, deg: int, poly: tuple[int, ...]) -> list[list[int]]
                     prod[i] = 0
                     for j in range(deg):
                         prod[i - deg + j] = (prod[i - deg + j] - c * poly[j]) % p
-            table[a][b] = undigits(prod[:deg])
-    return table
+            mul[a][b] = undigits(prod[:deg])
+    return add, mul

@@ -11,14 +11,13 @@ at least n/(max_degree^2 + 1) vertices.
 
 from __future__ import annotations
 
-from .errors import GraphInputError
+from .errors import _check_positive
 from .graph import Graph
 
 
 def greedy_packing(g: Graph, k: int) -> frozenset[int]:
     """The greedy k-limited packing: the lowest addable vertex first."""
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     adj = g.adj
     caps = [k] * g.n
     blocked = bytearray(g.n)

@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import GraphInputError
+from .errors import GraphInputError, _check_positive
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
 
@@ -88,33 +88,17 @@ def lll_parameters(max_degree: int, k: int, clamp: float = 0.5) -> LLLParameters
     """
     if max_degree < 2:
         raise GraphInputError(f"max_degree must be at least 2, got {max_degree}")
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     if not (0.0 < clamp < 1.0):
         raise GraphInputError(f"clamp must lie in (0, 1), got {clamp}")
-    clamped = False
-    loglog = math.log(math.log(max_degree)) if max_degree > 1 else float("-inf")
-    if loglog <= 0:
-        epsilon1 = clamp
-        clamped = True
-    else:
-        raw = math.sqrt(5.0 / loglog)
-        if raw >= 1.0:
-            epsilon1 = clamp
-            clamped = True
-        else:
-            epsilon1 = raw
-    raw2 = 3.0 / math.sqrt(k * max_degree)
-    if raw2 >= 1.0:
-        epsilon2 = clamp
-        clamped = True
-    else:
-        epsilon2 = raw2
+    loglog = math.log(math.log(max_degree))
+    raws = (
+        math.sqrt(5.0 / loglog) if loglog > 0 else math.inf,  # undefined for D <= e
+        3.0 / math.sqrt(k * max_degree),
+    )
+    epsilon1, epsilon2 = (clamp if raw >= 1.0 else raw for raw in raws)
     p = (1.0 - epsilon1) * (k + 1) / (max_degree + 1)
-    if p > 1.0:
-        p = 1.0
-        clamped = True
-    return LLLParameters(epsilon1, epsilon2, p, clamped)
+    return LLLParameters(epsilon1, epsilon2, min(p, 1.0), max(raws) >= 1.0 or p > 1.0)
 
 
 def auto_sample_rate(max_degree: int, k: int) -> float:
@@ -124,8 +108,7 @@ def auto_sample_rate(max_degree: int, k: int) -> float:
     expected yield of sampling followed by repair; for k > D the packing
     is all of V and the rate is 1.
     """
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     if k > max_degree:
         return 1.0
     base = math.comb(max_degree, k) * (max_degree + 1)
@@ -145,8 +128,7 @@ def sample_and_repair(
     needs repair: the pass visits only the others, keeping each count
     current as members are deleted.
     """
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     if p == "auto":
         rate = auto_sample_rate(degree_stats(g).max_degree, k)
     else:
@@ -217,8 +199,7 @@ def lll_resample(
     failure report carrying the last X; it is never presented as a valid
     packing.  Success reports record whether |X| >= (1-epsilon2)*n*p.
     """
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     if max_rounds < 1:
         raise GraphInputError(f"max_rounds must be at least 1, got {max_rounds}")
     if params is None:

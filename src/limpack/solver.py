@@ -49,8 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GraphInputError, InfeasibleError, ResourceLimitError
-from .graph import Graph, TypedMultigraph, degree_stats
+from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_positive
+from .graph import Graph, TypedMultigraph, degree_stats, serialize_packing
 
 DEFAULT_VERTEX_LIMIT = 64
 ORACLE_VERTEX_LIMIT = 20
@@ -65,15 +65,14 @@ class SolveResult:
     def to_text(self) -> str:
         return (
             f"optimum: {self.optimum}\n"
-            f"witness: {' '.join(str(v) for v in self.witness)}\n"
+            f"witness: {serialize_packing(self.witness)}"
             f"nodes: {self.nodes_explored}\n"
         )
 
 
 def max_k_limited(g: Graph, k: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SolveResult:
     """Largest k-limited packing of g, with a verifying witness."""
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     return _max_limited(TypedMultigraph.from_graph(g), k, vertex_limit)
 
 
@@ -94,8 +93,7 @@ def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LI
     Feasible only when l <= min_degree + 1; solved directly (not through
     duality), so it also works on non-regular graphs.
     """
-    if l < 1:
-        raise GraphInputError(f"l must be positive, got {l}")
+    _check_positive("l", l)
     _check_size(g.n, vertex_limit)
     if g.n > 0:
         stats = degree_stats(g)

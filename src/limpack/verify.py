@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterable, Union
 
-from .errors import GraphInputError, PreconditionError
-from .graph import Graph, TypedMultigraph, closed_counts
+from .errors import GraphInputError, PreconditionError, _check_positive
+from .graph import Graph, TypedMultigraph, _check_endpoint, closed_counts
 
 Violation = Union["VertexViolation", "CEdgeViolation"]
 
@@ -72,17 +72,14 @@ def _check_subset(vertices: Iterable[int], n: int) -> frozenset[int]:
     that comes first has already merged into it."""
     xs = frozenset(vertices)
     for v in xs:
-        if type(v) is not int:
-            raise GraphInputError(f"vertex {v!r} is not an int")
-        if not (0 <= v < n):
-            raise GraphInputError(f"vertex {v} out of range for graph with {n} vertices")
+        if type(v) is not int or not 0 <= v < n:
+            _check_endpoint(v, n)  # raises the message for this member
     return xs
 
 
 def verify_k_limited(g: Graph, vertices: Iterable[int], k: int) -> VerificationReport:
     """Check |N[v] ∩ X| <= k for every vertex, listing all offenders."""
-    if k < 1:
-        raise GraphInputError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     return _verify_limited(g.n, (), g.adj, vertices, k)
 
 
@@ -97,8 +94,7 @@ def verify_tuple_dominating(g: Graph, vertices: Iterable[int], l: int) -> Verifi
 
     When D holds more than half the vertices, the complement is counted
     instead: |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D| on any graph."""
-    if l < 1:
-        raise GraphInputError(f"l must be positive, got {l}")
+    _check_positive("l", l)
     ds = _check_subset(vertices, g.n)
     if 2 * len(ds) > g.n:
         outside = closed_counts(g.adj, filterfalse(ds.__contains__, range(g.n)))

@@ -426,3 +426,18 @@ def test_console_script_entrypoint(tmp_path):
     )
     assert out.returncode == 0
     assert "greedy_lower: 1" in out.stdout
+
+
+def test_imports_only_the_standard_library():
+    """The package has no runtime dependencies: importing it and its CLI in
+    a fresh interpreter loads no top-level module outside the standard
+    library besides limpack itself."""
+    code = (
+        "import sys; before = set(sys.modules); import limpack, limpack.cli; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = out.stdout.split()
+    assert "limpack" in loaded
+    assert [m for m in loaded if m != "limpack" and m not in sys.stdlib_module_names] == []

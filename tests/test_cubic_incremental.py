@@ -242,6 +242,12 @@ def _brooks_inputs():
     yield Graph.from_edges(16, [e for i in range(3) for e in _diamond_block(1 + 5 * i)])
     yield disjoint_union(_blocks_at_a_cut_vertex(1), gen_named("petersen"))
     yield disjoint_union(gen_cycle(7), _blocks_at_a_cut_vertex(2))
+    # isolated vertices, alone and between other components
+    yield Graph.from_edges(1, [])
+    yield Graph.from_edges(3, [(1, 2)])
+    isolated = Graph.from_edges(2, [])
+    yield disjoint_union(isolated, gen_named("petersen"), isolated, gen_cycle(5), isolated)
+    yield disjoint_union(_blocks_at_a_cut_vertex(3), isolated)
 
 
 def _diamond_block(first: int):

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -151,6 +151,17 @@ def test_projective_points_normalized():
         first = next(c for c in p.coords if c != 0)
         assert first == 1
     assert pts == sorted(pts, key=lambda p: p.coords)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_projective_points_are_the_normalized_vectors(q, k):
+    """Exactly the vectors whose first nonzero coordinate is 1, in
+    lexicographic order."""
+    expected = [
+        vec for vec in product(range(q), repeat=k + 2) if next((c for c in vec if c), 0) == 1
+    ]
+    assert [p.coords for p in projective_points(q, k)] == expected
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2)])

@@ -1,0 +1,111 @@
+"""Every argument check raises its documented type with its exact message.
+
+One row per raise site: a name, the call, the exception type and the
+message.  The k and l checks, the vertex checks and the resampler
+parameter checks are each written once in the package, so these rows
+pin what every caller reports.
+"""
+
+import pytest
+
+from limpack import (
+    GaloisField,
+    Graph,
+    GraphInputError,
+    InfeasibleError,
+    LLLParameters,
+    PreconditionError,
+    TypedMultigraph,
+    auto_sample_rate,
+    bound_sheet,
+    dual_complement,
+    enumerate_oracle,
+    gen_cycle,
+    gen_random_regular,
+    greedy_packing,
+    lll_parameters,
+    lll_resample,
+    max_k_limited,
+    min_tuple_dominating,
+    projective_points,
+    sample_and_repair,
+    verify_k_limited,
+    verify_tuple_dominating,
+    verify_typed_two_limited,
+)
+
+C5 = gen_cycle(5)
+EMPTY = Graph.from_edges(0, [])
+
+CASES = [
+    # k and l must be positive
+    ("bound_sheet-k", lambda: bound_sheet(10, 3, 3, 0), GraphInputError, "k must be positive, got 0"),
+    ("greedy-k", lambda: greedy_packing(C5, 0), GraphInputError, "k must be positive, got 0"),
+    ("lll_parameters-k", lambda: lll_parameters(3, 0), GraphInputError, "k must be positive, got 0"),
+    ("auto_rate-k", lambda: auto_sample_rate(3, -1), GraphInputError, "k must be positive, got -1"),
+    ("sample_repair-k", lambda: sample_and_repair(C5, 0), GraphInputError, "k must be positive, got 0"),
+    ("lll_resample-k", lambda: lll_resample(C5, 0), GraphInputError, "k must be positive, got 0"),
+    ("max_k_limited-k", lambda: max_k_limited(C5, 0), GraphInputError, "k must be positive, got 0"),
+    ("min_tuple-l", lambda: min_tuple_dominating(C5, 0), GraphInputError, "l must be positive, got 0"),
+    ("verify_k-k", lambda: verify_k_limited(C5, [], -2), GraphInputError, "k must be positive, got -2"),
+    ("verify_tuple-l", lambda: verify_tuple_dominating(C5, [], 0), GraphInputError, "l must be positive, got 0"),
+    # the other resampler parameters
+    ("lll_resample-rounds", lambda: lll_resample(C5, 1, max_rounds=0), GraphInputError,
+     "max_rounds must be at least 1, got 0"),
+    ("lll_resample-p0", lambda: lll_resample(C5, 1, params=LLLParameters(0.5, 0.5, 0.0, False)),
+     GraphInputError, "p must lie in (0, 1], got 0.0"),
+    ("lll_resample-p>1", lambda: lll_resample(C5, 1, params=LLLParameters(0.5, 0.5, 1.5, False)),
+     GraphInputError, "p must lie in (0, 1], got 1.5"),
+    ("lll_parameters-degree", lambda: lll_parameters(1, 1), GraphInputError,
+     "max_degree must be at least 2, got 1"),
+    ("lll_parameters-clamp", lambda: lll_parameters(3, 1, clamp=1.0), GraphInputError,
+     "clamp must lie in (0, 1), got 1.0"),
+    ("sample_repair-p", lambda: sample_and_repair(C5, 1, p=1.5), GraphInputError,
+     "p must lie in [0, 1], got 1.5"),
+    # members of a vertex set
+    ("verify-range", lambda: verify_k_limited(C5, [5], 1), GraphInputError,
+     "vertex 5 out of range for graph with 5 vertices"),
+    ("verify-negative", lambda: verify_tuple_dominating(C5, [-1], 1), GraphInputError,
+     "vertex -1 out of range for graph with 5 vertices"),
+    ("verify-type", lambda: verify_typed_two_limited(TypedMultigraph.from_graph(C5), [1.5]),
+     GraphInputError, "vertex 1.5 is not an int"),
+    ("dual-type", lambda: dual_complement(C5, [True], 1), GraphInputError,
+     "vertex True is not an int"),
+    ("from_edges-range", lambda: Graph.from_edges(2, [(0, 2)]), GraphInputError,
+     "vertex 2 out of range for graph with 2 vertices"),
+    ("from_edges-type", lambda: Graph.from_edges(2, [("0", 1)]), GraphInputError,
+     "vertex '0' is not an int"),
+    # typed multigraph construction
+    ("typed-n", lambda: TypedMultigraph.from_edges(-1, []), GraphInputError,
+     "vertex count must be nonnegative, got -1"),
+    ("typed-loop", lambda: TypedMultigraph.from_edges(3, [(1, 1, "c")]), GraphInputError,
+     "self-loop at vertex 1"),
+    ("typed-type", lambda: TypedMultigraph.from_edges(3, [(0, 1, "x")]), GraphInputError,
+     "unknown edge type 'x' (expected 'c' or 'd')"),
+    # duality
+    ("dual-empty", lambda: dual_complement(EMPTY, [], 1), PreconditionError,
+     "dual_complement needs a nonempty regular graph"),
+    # fields and generators
+    ("inv0-prime", lambda: GaloisField(5).inv(0), GraphInputError, "zero has no multiplicative inverse"),
+    ("inv0-power", lambda: GaloisField(9).inv(0), GraphInputError, "zero has no multiplicative inverse"),
+    ("field-1", lambda: GaloisField(1), GraphInputError,
+     "unsupported field order 1: q must be prime or one of [4, 8, 9]"),
+    ("field-0", lambda: GaloisField(0), GraphInputError,
+     "unsupported field order 0: q must be prime or one of [4, 8, 9]"),
+    ("projective-k", lambda: projective_points(2, 0), GraphInputError, "k must be at least 1, got 0"),
+    ("regular-n", lambda: gen_random_regular(-1, 3, 0), GraphInputError,
+     "n and r must be nonnegative, got n=-1, r=3"),
+    # the oracle
+    ("oracle-no-l", lambda: enumerate_oracle(C5, mode="domination"), GraphInputError,
+     "domination mode needs a positive l"),
+    ("oracle-infeasible", lambda: enumerate_oracle(C5, mode="domination", l=4), InfeasibleError,
+     "no 4-tuple dominating set exists"),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_argument_errors(call, cls, message):
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message
