@@ -1,44 +1,50 @@
 """Exact solvers for packing and domination numbers, plus a brute-force oracle.
 
-Both optimizers are branch-and-bound searches over a fixed vertex order
-(descending degree, ties by index), exploring "include" before "exclude"
-and keeping only strict improvements, which makes the returned witness
-the lexicographically first optimal set in the branching order.
+One branch-and-bound engine, ``_maximize``, finds the largest vertex set
+with at most cap(c) members in each constraint c.  A k-limited packing
+has the constraint N[v] with cap k for every vertex v (a typed multigraph
+adds a cap-1 constraint per c-edge).  Domination is the same search on
+the complement: D is l-tuple dominating exactly when Y = V - D has at
+most |N[v]| - l members in every N[v], so the smallest D is V minus the
+largest such Y.
 
-Both prune with the paper's double-counting bound (k·n/(δ+1), see
-``bounds.packing_upper``) applied to the residual instance at each node.
-Packing: at most (sum of the residual caps of the constraints that still
-contain an undecided selectable vertex) // (fewest constraints any such
-vertex lies in) more vertices fit, and never more than the selectable
-vertices left.  Domination: at least ceil(sum of deficits / most
-constraints any vertex lies in) more vertices are needed, and never fewer
-than the largest deficit.  A node is pruned only when its subtree cannot
-strictly improve on the incumbent, so the witness rule above is
-unaffected by the bounds.
+The engine branches over a fixed vertex order (descending degree, ties by
+index) and keeps only strict improvements, so the witness is the first
+optimal set in branching order.  A packing tries "include" first.
+Domination tries "exclude from Y" first, which is "include in D" first,
+so its witness is the lexicographically first smallest D in that order.
 
-Neither engine rescans the instance at a node.  Each keeps the terms of
+At each node, call the undecided vertices that can still be selected
+"live".  Every constraint c can take at most min(cap_c, live_c) more
+members; cap_sum sums that over the constraints, live_size sums the
+constraint counts of the live vertices, and `fewest` and `most` are the
+smallest count of a live vertex and the largest of any vertex.  At most
+`addable` (the live vertices) more fit, and never more than:
+- cap_sum // fewest: each addition spends one unit of cap_sum in each of
+  its constraints (the paper's double-counting bound k·n/(δ+1), see
+  ``bounds.packing_upper``, on the residual instance);
+- addable + (cap_sum - live_size) // most: the live vertices left out
+  must cover the excess live_size - cap_sum, at most `most` each.
+A node is pruned only when its subtree cannot strictly improve on the
+incumbent, so the witness rule above is unaffected by the bound.  A node
+with no live vertex is a leaf.
+
+The engine never rescans the instance at a node.  It keeps the terms of
 its bound up to date as it branches and undoes every update when it
 backtracks.  A bound then costs O(1) plus a short histogram scan, and a
-branch touches only the constraints of its vertex and, when packing, the
-members of a constraint whose cap reaches 0: O(Δ²) updates, plus O(Δ)
-for each vertex that becomes unselectable.
+branch touches only the constraints of its vertex and the members of a
+constraint whose cap reaches 0: O(Δ²) updates, plus O(Δ) for each vertex
+that becomes unselectable.
 
-Packing state: the residual caps; per vertex, the number of its
-constraints whose cap is 0 (it is selectable when that is 0); per
-constraint, the number of its undecided selectable ("live") members; the
-number of live vertices with each constraint count (`fewest` is the
-smallest count in use); their total; and the cap sum of the constraints
-with a live member.  Deciding a vertex takes it out of the live counts.
-Including it also lowers the caps of its constraints.  A cap that reaches
-0 makes all members of that constraint unselectable, and the live ones
-leave the counts.
-
-Domination state: per constraint, the members it still needs and its
-room (chosen plus undecided members, minus l); a histogram of the
-positive deficits; and their sum.  Including a vertex moves each of its
-constraints one histogram bucket down and leaves room unchanged.
-Excluding it lowers room, and is feasible only when none of its
-constraints has room 0.
+State: the residual caps; per vertex, the number of its constraints whose
+cap is 0 (it is selectable when that is 0, so a cap of 0 at the root
+leaves its members unselectable from the start); per constraint, its live
+members; the number of live vertices with each constraint count; and
+addable, live_size and cap_sum.  Deciding a vertex takes it out of the
+live counts.  Including it also lowers the caps of its constraints.  A cap
+that reaches 0 makes all members of that constraint unselectable, and the
+live ones leave the counts.  Each step moves cap_sum by at most 1 per
+constraint.
 
 ``enumerate_oracle`` scans all 2^n subsets with no pruning and is the
 independent yardstick the rest of the package is tested against.
@@ -90,8 +96,8 @@ def max_typed_two_limited(
 def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SolveResult:
     """Smallest l-tuple dominating set of g.
 
-    Feasible only when l <= min_degree + 1; solved directly (not through
-    duality), so it also works on non-regular graphs.
+    Feasible only when l <= min_degree + 1; solved as the complement
+    packing (caps |N[v]| - l), so it also works on non-regular graphs.
     """
     _check_positive("l", l)
     _check_size(g.n, vertex_limit)
@@ -104,7 +110,9 @@ def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LI
             )
     closed = [[v, *nbrs] for v, nbrs in enumerate(g.adj)]
     order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-    return _minimize(g.n, closed, order, l)
+    kept = _maximize(g.n, closed, [len(c) - l for c in closed], order, exclude_first=True)
+    dominating = sorted(set(range(g.n)).difference(kept.witness))
+    return SolveResult(g.n - kept.optimum, tuple(dominating), kept.nodes_explored)
 
 
 def enumerate_oracle(
@@ -163,41 +171,42 @@ def _max_limited(tm: TypedMultigraph, cap: int, vertex_limit: int) -> SolveResul
     return _maximize(tm.n, constraints, caps, order)
 
 
-def _membership(n: int, constraints: list[list[int]]) -> list[list[int]]:
-    """For every vertex, the indices of the constraints it belongs to."""
-    cons_of: list[list[int]] = [[] for _ in range(n)]
-    for idx, members in enumerate(constraints):
-        for v in members:
-            cons_of[v].append(idx)
-    return cons_of
-
-
 def _maximize(
-    n: int, constraints: list[list[int]], caps: list[int], order: list[int]
+    n: int,
+    constraints: list[list[int]],
+    caps: list[int],
+    order: list[int],
+    exclude_first: bool = False,
 ) -> SolveResult:
     """Branch and bound for the largest set within every constraint's cap.
 
-    Every cap must be positive and every vertex must lie in at least one
-    constraint, so `fewest` below is never 0.
+    Every cap must be non-negative and every vertex must lie in at least
+    one constraint, so `fewest` below is never 0.  With `exclude_first`,
+    each vertex is first left out and then taken.
     """
-    cons_of = _membership(n, constraints)
+    cons_of: list[list[int]] = [[] for _ in range(n)]
+    for c, members in enumerate(constraints):
+        for v in members:
+            cons_of[v].append(c)
     size = [len(cs) for cs in cons_of]
     smallest = min(size, default=1)
+    most = max(size, default=1)
     rank = [0] * n
     for pos, v in enumerate(order):
         rank[v] = pos
     # zero[v]: v's constraints whose cap is 0; v is selectable when it is 0.
     # An undecided selectable vertex is "live"; live[c] counts c's live
-    # members, by_size[s] the live vertices in s constraints, and cap_sum
-    # sums the caps of the constraints with a live member.  Every cap starts
-    # positive, so at the root every vertex is live.
+    # members, by_size[s] the live vertices in s constraints, live_size
+    # sums their constraint counts and cap_sum sums min(cap, live) over
+    # the constraints.
     zero = [0] * n
-    live = [len(members) for members in constraints]
-    by_size = [0] * (max(size, default=0) + 1)
-    for count in size:
-        by_size[count] += 1
-    addable = n
-    cap_sum = sum(caps)
+    for c, cap in enumerate(caps):
+        if not cap:
+            for u in constraints[c]:
+                zero[u] += 1
+    live = [0] * len(constraints)
+    by_size = [0] * (most + 1)
+    addable = live_size = cap_sum = 0
 
     best_size = -1
     best_set: list[int] = []
@@ -205,40 +214,41 @@ def _maximize(
     nodes = 0
 
     def drop(u: int) -> None:
-        nonlocal addable, cap_sum
+        nonlocal addable, live_size, cap_sum
         addable -= 1
         by_size[size[u]] -= 1
+        live_size -= size[u]
         for c in cons_of[u]:
+            if live[c] <= caps[c]:
+                cap_sum -= 1
             live[c] -= 1
-            if not live[c]:
-                cap_sum -= caps[c]
 
     def restore(u: int) -> None:
-        nonlocal addable, cap_sum
+        nonlocal addable, live_size, cap_sum
         addable += 1
         by_size[size[u]] += 1
+        live_size += size[u]
         for c in cons_of[u]:
-            if not live[c]:
-                cap_sum += caps[c]
+            if live[c] < caps[c]:
+                cap_sum += 1
             live[c] += 1
+
+    for v in range(n):
+        if not zero[v]:
+            restore(v)
 
     def rec(pos: int) -> None:
         nonlocal best_size, best_set, nodes, cap_sum
         nodes += 1
-        if pos == n:
+        if not addable:
             if len(chosen) > best_size:
                 best_size = len(chosen)
                 best_set = sorted(chosen)
             return
-        # Residual double counting: adding a live vertex spends one unit of
-        # each of its constraints (at least `fewest` of them, all counted in
-        # cap_sum), so at most cap_sum // fewest more vertices fit.
-        bound = 0
-        if addable:
-            fewest = smallest
-            while not by_size[fewest]:
-                fewest += 1
-            bound = min(addable, cap_sum // fewest)
+        fewest = smallest
+        while not by_size[fewest]:
+            fewest += 1
+        bound = min(addable + (cap_sum - live_size) // most, cap_sum // fewest)
         if len(chosen) + bound <= best_size:
             return
         v = order[pos]
@@ -246,9 +256,11 @@ def _maximize(
             rec(pos + 1)
             return
         drop(v)
+        if exclude_first:
+            rec(pos + 1)
         chosen.append(v)
         for c in cons_of[v]:
-            if live[c]:
+            if caps[c] <= live[c]:
                 cap_sum -= 1
             caps[c] -= 1
             if not caps[c]:
@@ -264,82 +276,12 @@ def _maximize(
                     if not zero[u] and rank[u] > pos:
                         restore(u)
             caps[c] += 1
-            if live[c]:
+            if caps[c] <= live[c]:
                 cap_sum += 1
         chosen.pop()
-        rec(pos + 1)
+        if not exclude_first:
+            rec(pos + 1)
         restore(v)
-
-    rec(0)
-    return SolveResult(best_size, tuple(best_set), nodes)
-
-
-def _minimize(n: int, constraints: list[list[int]], order: list[int], l: int) -> SolveResult:
-    """Branch and bound for the smallest set with at least l members in
-    every constraint."""
-    cons_of = _membership(n, constraints)
-    most = max((len(cs) for cs in cons_of), default=1)
-    # need[c] = l - (chosen members of c); short[d] counts the constraints
-    # with deficit d = need > 0 (short[0] collects the rest) and deficit_sum
-    # sums those deficits.  room[c] = chosen + undecided members - l.
-    need = [l] * len(constraints)
-    short = [0] * (l + 1)
-    short[l] = len(constraints)
-    deficit_sum = l * len(constraints)
-    room = [len(members) - l for members in constraints]
-
-    # the full vertex set is feasible (l <= min_degree + 1 was checked)
-    best_size = n
-    best_set = list(range(n))
-    chosen: list[int] = []
-    nodes = 0
-
-    def rec(pos: int) -> None:
-        nonlocal best_size, best_set, nodes, deficit_sum
-        nodes += 1
-        # Residual double counting: an addition lowers the total deficit by
-        # at most `most`, the largest number of constraints a vertex lies in.
-        if len(chosen) - (-deficit_sum // most) >= best_size:
-            return
-        max_deficit = l
-        while max_deficit and not short[max_deficit]:
-            max_deficit -= 1
-        if len(chosen) + max_deficit >= best_size:
-            return
-        if pos == n:
-            if max_deficit == 0 and len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = sorted(chosen)
-            return
-        v = order[pos]
-        cs = cons_of[v]
-        # include v: room is unchanged, one more member counts toward need
-        chosen.append(v)
-        for c in cs:
-            d = need[c]
-            need[c] = d - 1
-            if d > 0:
-                short[d] -= 1
-                short[d - 1] += 1
-                deficit_sum -= 1
-        rec(pos + 1)
-        for c in cs:
-            d = need[c] + 1
-            need[c] = d
-            if d > 0:
-                short[d] += 1
-                short[d - 1] -= 1
-                deficit_sum += 1
-        chosen.pop()
-        # exclude v: feasible only if no constraint of v has room 0
-        for c in cs:
-            if not room[c]:
-                return
-        for c in cs:
-            room[c] -= 1
-        rec(pos + 1)
-        for c in cs:
-            room[c] += 1
 
     rec(0)
     return SolveResult(best_size, tuple(best_set), nodes)

@@ -1,13 +1,14 @@
 """Differential test: the incremental bound against the per-node rescan.
 
-``limpack.solver`` keeps the residual double-counting bound up to date as
-it branches; ``reference_solver_rescan`` recomputes the same bound from
-scratch at every node.  The two must walk the same search tree, so the
-whole ``SolveResult`` must be equal, ``nodes_explored`` included.
+``limpack.solver`` keeps the terms of its effective-cap bound up to date
+as it branches; ``reference_solver_effective`` recomputes the same terms
+from scratch at every node, for packing and for domination as the
+complement packing.  The two must walk the same search tree, so the whole
+``SolveResult`` must be equal, ``nodes_explored`` included.
 """
 
 import pytest
-import reference_solver_rescan as ref
+import reference_solver_effective as ref
 from corpus import random_typed_multigraph
 
 from limpack import (
