@@ -1,31 +1,30 @@
 """Randomized k-limited packing constructors.
 
-``sample_and_repair`` picks each vertex independently with probability p
-and then deletes excess vertices from overfull closed neighborhoods; its
-auto rate p = (C(D,k)*(D+1))^(-1/k) maximizes the guaranteed expected
-size p - C(D+1,k+1)*p^(k+1) per vertex, which works out to exactly the
-random lower bound of the bound sheet.  The repair is driven by
-count[v] = |N[v] ∩ X|: only vertices that start above k are visited, in
-ascending order, and each deletion lowers the counts around the deleted
-vertex, so the pass costs O(|X|·D) plus the visited neighborhoods
-instead of a sorted scan of every closed neighborhood.
-
-``lll_resample`` is a resampling loop in the Moser-Tardos style: while
-some closed neighborhood holds k+1 or more chosen vertices, the whole
-neighborhood of the lowest such vertex is resampled.  The loop keeps
+Both constructors choose each vertex independently with probability p
+and then apply local fixes until no closed neighborhood holds more than
+k chosen vertices.  They share one loop, ``_fix_overfull``: it keeps
 count[v] = |N[v] ∩ X| for every v and a lazy min-heap that holds every
-vertex with count[v] > k (stale entries, whose count has since dropped,
-are discarded when they reach the top), so the top entry is the lowest
-violated vertex.  A resample updates the counts over the closed
-neighborhood of each vertex that changed membership, O(D^2) per round
+overfull vertex, count[v] > k (stale entries, whose count has since
+dropped, are discarded when they reach the top).  It hands the lowest
+overfull vertex to the constructor's fix and updates the counts over the
+closed neighborhood of each vertex the fix flipped, O(D^2) per fix
 instead of a scan of all n neighborhoods.
 
-The resampler is this package's algorithmic realization of an existence
-argument via the local lemma, not a construction taken from anywhere
-else; the parameter epsilon1 = sqrt(5/log log D) only drops below 1 at
-astronomically large D, so desk-scale runs always carry ``clamped=True``
-and are judged on validity, determinism, and size statistics rather than
-the asymptotic constant.
+``sample_and_repair`` fixes v by deleting the members of N[v] above the
+lowest k.  Deletions never raise a count, so only vertices that start
+overfull are fixed, each once and in ascending order, and the result
+always verifies.  Its auto rate p = (C(D,k)*(D+1))^(-1/k) maximizes the
+guaranteed expected size p - C(D+1,k+1)*p^(k+1) per vertex, which works
+out to exactly the random lower bound of the bound sheet.
+
+``lll_resample`` fixes v in the Moser-Tardos style, by resampling the
+whole of N[v], for at most ``max_rounds`` rounds.  The resampler is this
+package's algorithmic realization of an existence argument via the local
+lemma, not a construction taken from anywhere else; the parameter
+epsilon1 = sqrt(5/log log D) only drops below 1 at astronomically large
+D, so desk-scale runs always carry ``clamped=True`` and are judged on
+validity, determinism, and size statistics rather than the asymptotic
+constant.
 
 All runs are deterministic for a fixed seed: one independent generator
 per run, no global state.
@@ -37,7 +36,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import GraphInputError, _check_positive
 from .graph import Graph, closed_counts, degree_stats
@@ -65,9 +64,10 @@ class RandomRunReport:
 
     `rounds` counts resampling rounds (0 for sample_and_repair);
     `repairs` counts vertices deleted by repair (0 for the resampler).
-    On resampler failure `success` is False and `packing` holds the last,
-    possibly invalid, vertex set for diagnosis only.  `size_target_met`
-    records |X| >= (1 - epsilon2) * n * p for resampler successes.
+    `success` is False exactly when some closed neighborhood is still
+    overfull; `packing` then holds that invalid vertex set for diagnosis
+    only.  `size_target_met` records |X| >= (1 - epsilon2) * n * p for
+    resampler successes.
     """
 
     packing: Packing
@@ -120,13 +120,11 @@ def sample_and_repair(
 ) -> RandomRunReport:
     """Independent sampling at rate p, then deterministic repair.
 
-    For v = 0..n-1 in turn, the members of N[v] beyond the first k (by
-    index) are deleted.  Deletions never raise a count, so after the one
-    pass every closed neighborhood holds at most k members and the result
-    always verifies; identical inputs and seed give identical reports.
-    For the same reason a vertex whose count starts at k or below never
-    needs repair: the pass visits only the others, keeping each count
-    current as members are deleted.
+    While some closed neighborhood holds more than k members, the lowest
+    such vertex v loses the members of N[v] above the lowest k (by
+    index).  Deletions never raise a count, so the repair always ends
+    with a verifying set; identical inputs and seed give identical
+    reports.
     """
     _check_positive("k", k)
     if p == "auto":
@@ -137,23 +135,15 @@ def sample_and_repair(
             raise GraphInputError(f"p must lie in [0, 1], got {rate}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < rate}
-    count = closed_counts(g.adj, chosen)
-    repairs = 0
-    for v in [v for v, c in enumerate(count) if c > k]:
-        excess = count[v] - k
-        if excess > 0:
-            doomed = sorted(u for u in (v, *g.adj[v]) if u in chosen)[-excess:]
-            chosen.difference_update(doomed)
-            repairs += excess
-            for u in doomed:
-                count[u] -= 1
-                for w in g.adj[u]:
-                    count[w] -= 1
+
+    def repair(v: int) -> list[int]:
+        doomed = sorted(u for u in (v, *g.adj[v]) if u in chosen)[k:]
+        chosen.difference_update(doomed)
+        return doomed
+
+    _, repairs, _ = _fix_overfull(g, k, chosen, repair, math.inf)
     return RandomRunReport(
-        packing=Packing(k, frozenset(chosen)),
-        rounds=0,
-        repairs=repairs,
-        seed=seed,
+        packing=Packing(k, frozenset(chosen)), rounds=0, repairs=repairs, seed=seed
     )
 
 
@@ -208,36 +198,37 @@ def lll_resample(
         raise GraphInputError(f"p must lie in (0, 1], got {params.p}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < params.p}
+    rounds, _, success = _fix_overfull(
+        g, k, chosen, lambda v: resample_step(g, chosen, v, params.p, rng), max_rounds
+    )
+    size_ok = len(chosen) >= (1.0 - params.epsilon2) * g.n * params.p if success else None
+    return RandomRunReport(
+        packing=Packing(k, frozenset(chosen)), rounds=rounds, repairs=0, seed=seed,
+        success=success, size_target_met=size_ok, params=params,
+    )
+
+
+def _fix_overfull(
+    g: Graph, k: int, chosen: set[int], fix: Callable[[int], list[int]], max_rounds: float
+) -> tuple[int, int, bool]:
+    """Apply `fix` to the lowest vertex v with |N[v] ∩ chosen| > k, at most
+    `max_rounds` times; `fix(v)` updates `chosen` and returns the vertices
+    it flipped.  Returns (fixes, flips, whether no vertex is overfull)."""
     count = closed_counts(g.adj, chosen)
-    violated = [v for v in range(g.n) if count[v] > k]  # sorted, hence a heap
-    rounds = 0
-    while rounds < max_rounds:
-        while violated and count[violated[0]] <= k:
-            heapq.heappop(violated)
-        if not violated:
-            size_ok = len(chosen) >= (1.0 - params.epsilon2) * g.n * params.p
-            return RandomRunReport(
-                packing=Packing(k, frozenset(chosen)),
-                rounds=rounds,
-                repairs=0,
-                seed=seed,
-                success=True,
-                size_target_met=size_ok,
-                params=params,
-            )
-        rounds += 1
-        for u in resample_step(g, chosen, violated[0], params.p, rng):
+    overfull = [v for v, c in enumerate(count) if c > k]  # sorted, hence a heap
+    steps = flips = 0
+    while steps < max_rounds:
+        while overfull and count[overfull[0]] <= k:
+            heapq.heappop(overfull)
+        if not overfull:
+            return steps, flips, True
+        steps += 1
+        flipped = fix(overfull[0])
+        flips += len(flipped)
+        for u in flipped:
             delta = 1 if u in chosen else -1
             for w in (u, *g.adj[u]):
                 count[w] += delta
                 if delta > 0 and count[w] == k + 1:
-                    heapq.heappush(violated, w)
-    return RandomRunReport(
-        packing=Packing(k, frozenset(chosen)),
-        rounds=rounds,
-        repairs=0,
-        seed=seed,
-        success=False,
-        size_target_met=None,
-        params=params,
-    )
+                    heapq.heappush(overfull, w)
+    return steps, flips, False
