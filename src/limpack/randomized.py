@@ -185,9 +185,10 @@ def lll_resample(
     """Resampling constructor: fix violated neighborhoods until none remain.
 
     Each round resamples the closed neighborhood of the lowest-index
-    vertex v with |N[v] ∩ X| >= k+1.  Exhausting max_rounds returns a
-    failure report carrying the last X; it is never presented as a valid
-    packing.  Success reports record whether |X| >= (1-epsilon2)*n*p.
+    vertex v with |N[v] ∩ X| >= k+1.  A run that still has such a vertex
+    after max_rounds rounds returns a failure report carrying the last X;
+    it is never presented as a valid packing.  Success reports record
+    whether |X| >= (1-epsilon2)*n*p.
     """
     _check_positive("k", k)
     if max_rounds < 1:
@@ -217,11 +218,11 @@ def _fix_overfull(
     count = closed_counts(g.adj, chosen)
     overfull = [v for v, c in enumerate(count) if c > k]  # sorted, hence a heap
     steps = flips = 0
-    while steps < max_rounds:
+    while True:
         while overfull and count[overfull[0]] <= k:
             heapq.heappop(overfull)
-        if not overfull:
-            return steps, flips, True
+        if not overfull or steps >= max_rounds:
+            return steps, flips, not overfull
         steps += 1
         flipped = fix(overfull[0])
         flips += len(flipped)
@@ -231,4 +232,3 @@ def _fix_overfull(
                 count[w] += delta
                 if delta > 0 and count[w] == k + 1:
                     heapq.heappush(overfull, w)
-    return steps, flips, False

@@ -352,6 +352,17 @@ def test_construct_lll_report_lines(tmp_path, capsys):
     assert lines[3] == "success: true"
 
 
+def test_construct_lll_succeeds_in_its_last_round(tmp_path, capsys):
+    gpath = str(tmp_path / "r10.graph")
+    argv = ["--family", "random-regular", "--n", "200", "--r", "10", "--seed", "3"]
+    assert run_cli(capsys, "gen", *argv, "--out", gpath)[0] == 0
+    code, stdout, _ = run_cli(
+        capsys, "construct", "--method", "lll", "--k", "2", "--seed", "5", "--max-rounds", "8", gpath
+    )
+    assert code == 0
+    assert stdout.splitlines()[1:4] == ["rounds: 8", "clamped: true", "success: true"]
+
+
 def test_bounds_from_flags(capsys):
     code, stdout, _ = run_cli(
         capsys, "bounds", "--k", "2", "--n", "60", "--maxdeg", "3", "--mindeg", "3"

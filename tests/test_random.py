@@ -153,6 +153,21 @@ def test_lll_resample_failure_carries_last_set():
     assert report.packing.vertices == frozenset(range(4))
 
 
+def test_lll_resample_checks_its_last_round():
+    """A run whose last permitted round fixes the last overfull
+    neighbourhood succeeds, exactly as the unlimited run does."""
+    g = gen_random_regular(200, 10, 3)
+    unlimited = lll_resample(g, 2, seed=5)
+    assert unlimited.success and unlimited.rounds == 8
+    report = lll_resample(g, 2, seed=5, max_rounds=8)
+    assert report.success and report.rounds == 8
+    assert report.packing == unlimited.packing
+    assert report.size_target_met is True
+    short = lll_resample(g, 2, seed=5, max_rounds=7)
+    assert not short.success and short.size_target_met is None
+    assert not verify_k_limited(g, short.packing.vertices, 2).valid
+
+
 def test_lll_resample_records_size_event(petersen):
     report = lll_resample(petersen, 3, seed=4)
     assert report.success
