@@ -9,7 +9,8 @@ they are safe to share across threads.
 File format (UTF-8 text): optional ``#`` comment lines, then a header
 ``n m``, then exactly m edge lines ``u v``, ``u v c`` or ``u v d``.
 A file with no type tokens parses to a ``Graph``; any typed line makes it
-a ``TypedMultigraph`` whose untyped lines default to type d.
+a ``TypedMultigraph`` whose untyped lines default to type d.  No graph
+has more than ``MAX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, NamedTuple, Optional, Union
 
-from .errors import GraphInputError
+from .errors import GraphInputError, ResourceLimitError
+
+# The most vertices of any graph limpack builds.  Checked before the
+# adjacency is allocated, so a short file whose header names a huge n is
+# refused at once: building costs about 250 bytes per vertex even with
+# no edges.
+MAX_VERTICES = 10**7
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,7 @@ class Graph:
         """Build a graph from an edge list, deduplicating repeated edges.
 
         Raises GraphInputError for negative n, out-of-range endpoints, or
-        self-loops.
+        self-loops, and ResourceLimitError for n over MAX_VERTICES.
         """
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
@@ -271,6 +278,7 @@ def build_graph(
 
 def _build_plain(n: int, edges: list[tuple[int, int]]) -> Graph:
     """The graph of checked edges (endpoints in range, no self-loops)."""
+    _check_vertex_count(n)
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         nbrs[u].add(v)
@@ -280,6 +288,7 @@ def _build_plain(n: int, edges: list[tuple[int, int]]) -> Graph:
 
 def _build_typed(n: int, edges: list[tuple[int, int, str]]) -> TypedMultigraph:
     """The typed multigraph of checked edges (types 'c' or 'd' only)."""
+    _check_vertex_count(n)
     nbrs: dict[str, list[set[int]]] = {t: [set() for _ in range(n)] for t in "cd"}
     for u, v, t in edges:
         nbrs[t][u].add(v)
@@ -318,6 +327,11 @@ def parse_packing(text: str) -> list[int]:
 
 def serialize_packing(vertices: Iterable[int]) -> str:
     return " ".join(str(v) for v in sorted(vertices)) + "\n"
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"graph has {n} vertices (limit {MAX_VERTICES})")
 
 
 def _check_endpoint(v: int, n: int) -> None:

@@ -182,6 +182,38 @@ def test_solve_checks_vertex_limit_before_building(tmp_path, argv):
     assert "limit 64" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--k", "1", "--packing", "PACKING"],
+        ["construct", "--method", "greedy", "--k", "1"],
+        ["bounds", "--k", "1"],
+    ],
+    ids=["verify", "construct", "bounds"],
+)
+def test_graph_vertex_limit_applies_before_building(tmp_path, argv):
+    """Every command that builds a graph refuses a header over
+    graph.MAX_VERTICES before allocating its adjacency, even under a small
+    memory cap (set in the child process only)."""
+    import resource
+
+    cap = 128 * 2**20
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000 0\n")
+    packing = tmp_path / "empty.pack"
+    packing.write_text("")
+    argv = [str(packing) if a == "PACKING" else a for a in argv]
+    out = subprocess.run(
+        [sys.executable, "-m", "limpack.cli", *argv, str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert out.returncode == 3
+    assert out.stderr == "error: graph has 1000000000 vertices (limit 10000000)\n"
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_pipe_exits_141(unbuffered):
     """`limpack bench | head` must not print a traceback or claim exit 1.

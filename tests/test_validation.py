@@ -15,6 +15,7 @@ from limpack import (
     InfeasibleError,
     LLLParameters,
     PreconditionError,
+    ResourceLimitError,
     TypedMultigraph,
     auto_sample_rate,
     bound_sheet,
@@ -75,9 +76,13 @@ CASES = [
      "vertex 2 out of range for graph with 2 vertices"),
     ("from_edges-type", lambda: Graph.from_edges(2, [("0", 1)]), GraphInputError,
      "vertex '0' is not an int"),
+    ("from_edges-limit", lambda: Graph.from_edges(10**7 + 1, []), ResourceLimitError,
+     "graph has 10000001 vertices (limit 10000000)"),
     # typed multigraph construction
     ("typed-n", lambda: TypedMultigraph.from_edges(-1, []), GraphInputError,
      "vertex count must be nonnegative, got -1"),
+    ("typed-limit", lambda: TypedMultigraph.from_edges(10**7 + 1, []), ResourceLimitError,
+     "graph has 10000001 vertices (limit 10000000)"),
     ("typed-loop", lambda: TypedMultigraph.from_edges(3, [(1, 1, "c")]), GraphInputError,
      "self-loop at vertex 1"),
     ("typed-type", lambda: TypedMultigraph.from_edges(3, [(0, 1, "x")]), GraphInputError,
