@@ -244,7 +244,7 @@ def _cmd_construct(args) -> int:
             success = report.success
             report_lines = [
                 f"rounds: {report.rounds}",
-                f"clamped: {'true' if report.params and report.params.clamped else 'false'}",
+                f"clamped: {'true' if report.params.clamped else 'false'}",
                 f"success: {'true' if success else 'false'}",
             ]
     print(f"size: {len(chosen)}")

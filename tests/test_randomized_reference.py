@@ -63,6 +63,8 @@ GRAPHS = [
         ("cubic60", ref.gen_random_regular(60, 3, seed=1)),
         ("reg4_100", ref.gen_random_regular(100, 4, seed=2)),
         ("reg10_200", ref.gen_random_regular(200, 10, seed=0)),
+        # the benchmark's degree; test_pairing_matches_reference ties the two generators
+        ("reg10_1000", gen_random_regular(1000, 10, 0)),
     ]
 ]
 
