@@ -20,10 +20,8 @@ from typing import Callable, Container, Iterable, NamedTuple, Optional, Union
 
 from .errors import GraphInputError, ResourceLimitError
 
-# The most vertices of any graph limpack builds.  Checked before the
-# adjacency is allocated, so a short file whose header names a huge n is
-# refused at once: building costs about 250 bytes per vertex even with
-# no edges.
+# The most vertices of any graph limpack builds, checked before the adjacency
+# is allocated: building costs about 250 bytes per vertex even with no edges.
 MAX_VERTICES = 10**7
 
 

@@ -143,7 +143,10 @@ def sample_and_repair(
 
     _, repairs, _ = _fix_overfull(g, k, chosen, repair, math.inf)
     return RandomRunReport(
-        packing=Packing(k, frozenset(chosen)), rounds=0, repairs=repairs, seed=seed
+        packing=Packing(k, frozenset(chosen)),
+        rounds=0,
+        repairs=repairs,
+        seed=seed,
     )
 
 
@@ -204,8 +207,13 @@ def lll_resample(
     )
     size_ok = len(chosen) >= (1.0 - params.epsilon2) * g.n * params.p if success else None
     return RandomRunReport(
-        packing=Packing(k, frozenset(chosen)), rounds=rounds, repairs=0, seed=seed,
-        success=success, size_target_met=size_ok, params=params,
+        packing=Packing(k, frozenset(chosen)),
+        rounds=rounds,
+        repairs=0,
+        seed=seed,
+        success=success,
+        size_target_met=size_ok,
+        params=params,
     )
 
 
