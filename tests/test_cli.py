@@ -395,6 +395,30 @@ def test_construct_lll_succeeds_in_its_last_round(tmp_path, capsys):
     assert stdout.splitlines()[1:4] == ["rounds: 8", "clamped: true", "success: true"]
 
 
+@pytest.mark.parametrize(
+    "method, p, head, digest",
+    [
+        ("lll", "0.2", ["size: 318", "rounds: 13", "clamped: true", "success: true"],
+         "16dae4a28bb152b0473a330c750d55f61e199cd533ac53f678613f83414b5068"),
+        ("sample-repair", "0.3", ["size: 472", "rounds: 0", "repairs: 116", "clamped: false"],
+         "3df043bc46fd7da617a2d4a8bcd5e8637228cc267163feec6c348bf2cb235383"),
+    ],
+)
+def test_construct_with_explicit_p(tmp_path, capsys, method, p, head, digest):
+    """`--p` overrides the method's own rate; the report lines and the
+    SHA-256 of the whole output, witness included, are pinned."""
+    import hashlib
+
+    g = gen_random_regular(2000, 10, 3)
+    gpath = write_graph(tmp_path, "r10.graph", g)
+    code, stdout, _ = run_cli(
+        capsys, "construct", "--method", method, "--k", "5", "--seed", "2", "--p", p, gpath
+    )
+    assert code == 0
+    assert stdout.splitlines()[:4] == head
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 def test_bounds_from_flags(capsys):
     code, stdout, _ = run_cli(
         capsys, "bounds", "--k", "2", "--n", "60", "--maxdeg", "3", "--mindeg", "3"
