@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Optional
 
 from .bounds import bound_sheet
@@ -35,7 +34,7 @@ from .graph import (
     serialize_packing,
 )
 from .greedy import greedy_packing
-from .randomized import default_lll_parameters, lll_resample, sample_and_repair
+from .randomized import lll_resample, sample_and_repair
 from .solver import DEFAULT_VERTEX_LIMIT, _check_size, max_k_limited, min_tuple_dominating
 from .verify import verify_k_limited, verify_tuple_dominating, verify_typed_two_limited
 
@@ -212,13 +211,7 @@ def _cmd_construct(args) -> int:
     if method == "cubic2":
         if args.k != 2:
             raise _UsageError("construct --method cubic2 requires --k 2")
-        parsed = _read_graph(args.file)
-        tm = (
-            parsed
-            if isinstance(parsed, TypedMultigraph)
-            else TypedMultigraph.from_graph(parsed)
-        )
-        chosen, trace = construct_two_limited(tm)
+        chosen, trace = construct_two_limited(_read_graph(args.file))
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(trace.to_text())
@@ -227,18 +220,14 @@ def _cmd_construct(args) -> int:
         if method == "greedy":
             chosen = greedy_packing(g, args.k)
         elif method == "sample-repair":
-            p = "auto" if args.p is None else args.p
-            report = sample_and_repair(g, args.k, p=p, seed=args.seed)
+            report = sample_and_repair(g, args.k, p=args.p, seed=args.seed)
             chosen = report.packing.vertices
             report_lines = [
                 f"rounds: {report.rounds}", f"repairs: {report.repairs}", "clamped: false"
             ]
         else:  # lll
-            params = None
-            if args.p is not None:
-                params = replace(default_lll_parameters(g, args.k), p=args.p)
             report = lll_resample(
-                g, args.k, params=params, seed=args.seed, max_rounds=args.max_rounds
+                g, args.k, p=args.p, seed=args.seed, max_rounds=args.max_rounds
             )
             chosen = report.packing.vertices
             success = report.success
@@ -332,7 +321,7 @@ def _cmd_bench(args) -> int:
         )
         if k == 2 and stats.max_degree <= 3:
             methods.append(
-                ("cubic2", lambda: len(construct_two_limited(TypedMultigraph.from_graph(g))[0]))
+                ("cubic2", lambda: len(construct_two_limited(g)[0]))
             )
         results = []
         for name, run in methods:

@@ -18,9 +18,9 @@ one, or zero triangles, each time removing at least two vertices while
 contributing at least a third of them to the output, so the whole run is
 polynomial.
 
-Plain graphs of max degree 3 can be promoted with all edges typed d
-(TypedMultigraph.from_graph) and fed through construct_two_limited to
-obtain a plain 2-limited packing of size >= n/3.
+construct_two_limited promotes a plain graph of max degree 3 itself,
+with all edges typed d (TypedMultigraph.from_graph), so it yields a
+plain 2-limited packing of size >= n/3.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Union
 
 from .errors import InternalError, PreconditionError
 from .graph import (
@@ -347,13 +347,17 @@ class _State:
 _Step = tuple[str, set[int], list[tuple[int, int]], set[int]]
 
 
-def construct_two_limited(tm: TypedMultigraph) -> tuple[frozenset[int], ReductionTrace]:
+def construct_two_limited(
+    tm: Union[Graph, TypedMultigraph]
+) -> tuple[frozenset[int], ReductionTrace]:
     """2-limited set X with 3|X| >= n for a typed multigraph of max degree 3.
 
-    Preconditions: every vertex degree (both edge types counted) at most
+    A plain Graph is promoted first, every edge typed d.  Preconditions: every vertex degree (both edge types counted) at most
     3, and no connected component is a K4 made entirely of c-edges.  The
     returned set always verifies; the trace records every reduction.
     """
+    if isinstance(tm, Graph):
+        tm = TypedMultigraph.from_graph(tm)
     for v in range(tm.n):
         if tm.degree(v) > 3:
             raise PreconditionError(f"vertex {v} has degree {tm.degree(v)} > 3")

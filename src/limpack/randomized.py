@@ -15,16 +15,18 @@ lowest k.  Deletions never raise a count, so only vertices that start
 overfull are fixed, each once and in ascending order, and the result
 always verifies.  Its auto rate p = (C(D,k)*(D+1))^(-1/k) maximizes the
 guaranteed expected size p - C(D+1,k+1)*p^(k+1) per vertex, which works
-out to exactly the random lower bound of the bound sheet.
+out to exactly the random lower bound of the bound sheet.  Both
+constructors take one optional rate p: None means the method's own
+rate, a float overrides it.
 
 ``lll_resample`` fixes v in the Moser-Tardos style, by resampling the
 whole of N[v], for at most ``max_rounds`` rounds.  The resampler is this
 package's algorithmic realization of an existence argument via the local
 lemma, not a construction taken from anywhere else; the parameter
 epsilon1 = sqrt(5/log log D) only drops below 1 at astronomically large
-D, so desk-scale runs always carry ``clamped=True`` and are judged on
-validity, determinism, and size statistics rather than the asymptotic
-constant.
+D, so desk-scale runs clamp it to the constant 0.5, carry
+``clamped=True`` and are judged on validity, determinism, and size
+statistics rather than the asymptotic constant.
 
 All runs are deterministic for a fixed seed: one independent generator
 per run, no global state.
@@ -35,8 +37,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .errors import GraphInputError, _check_positive
 from .graph import Graph, closed_counts, degree_stats
@@ -48,7 +50,7 @@ class LLLParameters:
     """Resampler parameters; `clamped` marks any value forced into range.
 
     epsilon1 is sqrt(5 / log log D) when that lies in (0, 1) and the
-    clamp value otherwise; epsilon2 is 3/sqrt(k*D) treated the same way;
+    constant 0.5 otherwise; epsilon2 is 3/sqrt(k*D) treated the same way;
     p is (1 - epsilon1)(k+1)/(D+1) forced into (0, 1].
     """
 
@@ -79,24 +81,23 @@ class RandomRunReport:
     params: Optional[LLLParameters] = None
 
 
-def lll_parameters(max_degree: int, k: int, clamp: float = 0.5) -> LLLParameters:
+def lll_parameters(max_degree: int, k: int) -> LLLParameters:
     """Evaluate the resampler parameters with natural logarithms.
 
-    Values that fall outside their ranges (epsilon1 and epsilon2 outside
-    (0,1), p above 1) are clamped and flagged; log log D is undefined for
-    D <= e, which also clamps epsilon1.
+    Values that fall outside their ranges are clamped and flagged:
+    epsilon1 and epsilon2 outside (0,1) become the constant 0.5, p above
+    1 becomes 1; log log D is undefined for D <= e, which also clamps
+    epsilon1.
     """
     if max_degree < 2:
         raise GraphInputError(f"max_degree must be at least 2, got {max_degree}")
     _check_positive("k", k)
-    if not (0.0 < clamp < 1.0):
-        raise GraphInputError(f"clamp must lie in (0, 1), got {clamp}")
     loglog = math.log(math.log(max_degree))
     raws = (
         math.sqrt(5.0 / loglog) if loglog > 0 else math.inf,  # undefined for D <= e
         3.0 / math.sqrt(k * max_degree),
     )
-    epsilon1, epsilon2 = (clamp if raw >= 1.0 else raw for raw in raws)
+    epsilon1, epsilon2 = (0.5 if raw >= 1.0 else raw for raw in raws)
     p = (1.0 - epsilon1) * (k + 1) / (max_degree + 1)
     return LLLParameters(epsilon1, epsilon2, min(p, 1.0), max(raws) >= 1.0 or p > 1.0)
 
@@ -116,23 +117,21 @@ def auto_sample_rate(max_degree: int, k: int) -> float:
 
 
 def sample_and_repair(
-    g: Graph, k: int, p: Union[float, str] = "auto", seed: int = 0
+    g: Graph, k: int, p: Optional[float] = None, seed: int = 0
 ) -> RandomRunReport:
     """Independent sampling at rate p, then deterministic repair.
 
-    While some closed neighborhood holds more than k members, the lowest
+    p defaults to auto_sample_rate of the maximum degree and k; a given p
+    must lie in [0, 1].  While some closed neighborhood holds more than k members, the lowest
     such vertex v loses the members of N[v] above the lowest k (by
     index).  Deletions never raise a count, so the repair always ends
     with a verifying set; identical inputs and seed give identical
     reports.
     """
     _check_positive("k", k)
-    if p == "auto":
-        rate = auto_sample_rate(degree_stats(g).max_degree, k)
-    else:
-        rate = float(p)
-        if not (0.0 <= rate <= 1.0):
-            raise GraphInputError(f"p must lie in [0, 1], got {rate}")
+    rate = auto_sample_rate(degree_stats(g).max_degree, k) if p is None else float(p)
+    if not (0.0 <= rate <= 1.0):
+        raise GraphInputError(f"p must lie in [0, 1], got {rate}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < rate}
 
@@ -168,7 +167,7 @@ def resample_step(
 
 
 def default_lll_parameters(g: Graph, k: int) -> LLLParameters:
-    """The parameters lll_resample uses when none are given.
+    """The parameters lll_resample starts from; a given p replaces theirs.
 
     With k at or above the maximum degree every set is k-limited, so p = 1.
     """
@@ -181,7 +180,7 @@ def default_lll_parameters(g: Graph, k: int) -> LLLParameters:
 def lll_resample(
     g: Graph,
     k: int,
-    params: Optional[LLLParameters] = None,
+    p: Optional[float] = None,
     seed: int = 0,
     max_rounds: int = 100_000,
 ) -> RandomRunReport:
@@ -190,14 +189,17 @@ def lll_resample(
     Each round resamples the closed neighborhood of the lowest-index
     vertex v with |N[v] ∩ X| >= k+1.  A run that still has such a vertex
     after max_rounds rounds returns a failure report carrying the last X;
-    it is never presented as a valid packing.  Success reports record
+    it is never presented as a valid packing.  The run uses
+    default_lll_parameters(g, k), with p replaced when one is given (it
+    must lie in (0, 1]); the report carries them.  Success reports record
     whether |X| >= (1-epsilon2)*n*p.
     """
     _check_positive("k", k)
     if max_rounds < 1:
         raise GraphInputError(f"max_rounds must be at least 1, got {max_rounds}")
-    if params is None:
-        params = default_lll_parameters(g, k)
+    params = default_lll_parameters(g, k)
+    if p is not None:
+        params = replace(params, p=p)
     if not (0.0 < params.p <= 1.0):
         raise GraphInputError(f"p must lie in (0, 1], got {params.p}")
     rng = random.Random(seed)

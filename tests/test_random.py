@@ -6,7 +6,6 @@ import pytest
 
 from limpack import (
     GraphInputError,
-    LLLParameters,
     auto_sample_rate,
     degree_stats,
     gen_cycle,
@@ -23,7 +22,7 @@ from limpack.randomized import resample_step
 
 
 def test_lll_parameters_clamped_case():
-    params = lll_parameters(10, 5, clamp=0.5)
+    params = lll_parameters(10, 5)
     assert params.clamped
     assert params.epsilon1 == 0.5
     assert params.p == pytest.approx(0.5 * 6 / 11, rel=1e-12)
@@ -53,8 +52,6 @@ def test_lll_parameters_small_degree_undefined_loglog():
         lll_parameters(1, 1)
     with pytest.raises(GraphInputError):
         lll_parameters(3, 0)
-    with pytest.raises(GraphInputError):
-        lll_parameters(3, 1, clamp=1.5)
 
 
 def test_lll_parameters_epsilon2_clamped_when_large():
@@ -122,7 +119,7 @@ def test_lll_resample_trivial_when_k_exceeds_degree(petersen):
 
 def test_lll_resample_c6():
     g = gen_cycle(6)
-    report = lll_resample(g, 2, params=LLLParameters(0.5, 0.5, 0.5, True), seed=7)
+    report = lll_resample(g, 2, p=0.5, seed=7)
     assert report.success
     assert verify_k_limited(g, report.packing.vertices, 2).valid
 
@@ -147,7 +144,7 @@ def test_lll_resample_failure_carries_last_set():
     # p forced to 1 with k=1 on K4 can never succeed: every neighborhood
     # always holds 4 >= 2 chosen vertices
     g = gen_named("k4")
-    report = lll_resample(g, 1, params=LLLParameters(0.5, 0.5, 1.0, True), seed=0, max_rounds=50)
+    report = lll_resample(g, 1, p=1.0, seed=0, max_rounds=50)
     assert not report.success
     assert report.rounds == 50
     assert report.packing.vertices == frozenset(range(4))

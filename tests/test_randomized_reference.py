@@ -10,6 +10,7 @@ neighbourhood: it succeeds here and fails in the frozen copy.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 import reference_randomized as ref
@@ -17,7 +18,6 @@ from corpus import random_typed_multigraph
 
 from limpack import (
     Graph,
-    LLLParameters,
     degree_stats,
     gen_cycle,
     gen_named,
@@ -115,11 +115,11 @@ def test_lll_last_round_runs():
 @pytest.mark.parametrize("g", GRAPHS)
 @pytest.mark.parametrize("p", [0.6, 1.0])
 def test_lll_resample_explicit_params_match_reference(g, p):
-    params = LLLParameters(0.5, 0.5, p, True)
     outcomes = set()
     for k in range(1, degree_stats(g).max_degree + 3):
+        params = replace(ref.default_lll_parameters(g, k), p=p)
         for seed in range(2):
-            got = _lll(g, k, params=params, seed=seed, max_rounds=200)
+            got = _lll(g, k, p=p, seed=seed, max_rounds=200)
             assert got == ref.lll_resample(g, k, params=params, seed=seed, max_rounds=200)
             outcomes.add(got[2])
     if p == 1.0:
@@ -130,11 +130,11 @@ def test_lll_resample_explicit_params_match_reference(g, p):
 @pytest.mark.parametrize("g", GRAPHS)
 def test_sample_and_repair_matches_reference(g):
     for k in range(1, degree_stats(g).max_degree + 2):
-        for p in ("auto", 0.5, 1.0):
+        for p in (None, 0.5, 1.0):
             for seed in range(3):
                 report = sample_and_repair(g, k, p=p, seed=seed)
                 got = (report.packing.vertices, report.repairs)
-                assert got == ref.sample_and_repair(g, k, p=p, seed=seed)
+                assert got == ref.sample_and_repair(g, k, p="auto" if p is None else p, seed=seed)
 
 
 def _corpus_plain_graphs():
@@ -159,11 +159,11 @@ def test_greedy_packing_matches_reference():
 
 def _sample_and_repair_matches(g, ks, seeds):
     for k in ks:
-        for p in ("auto", 0.5, 1.0):
+        for p in (None, 0.5, 1.0):
             for seed in seeds:
                 report = sample_and_repair(g, k, p=p, seed=seed)
                 got = (report.packing.vertices, report.repairs)
-                assert got == ref.sample_and_repair(g, k, p=p, seed=seed)
+                assert got == ref.sample_and_repair(g, k, p="auto" if p is None else p, seed=seed)
 
 
 def test_sample_and_repair_matches_reference_on_corpus():

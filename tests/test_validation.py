@@ -13,7 +13,6 @@ from limpack import (
     Graph,
     GraphInputError,
     InfeasibleError,
-    LLLParameters,
     PreconditionError,
     ResourceLimitError,
     TypedMultigraph,
@@ -53,14 +52,12 @@ CASES = [
     # the other resampler parameters
     ("lll_resample-rounds", lambda: lll_resample(C5, 1, max_rounds=0), GraphInputError,
      "max_rounds must be at least 1, got 0"),
-    ("lll_resample-p0", lambda: lll_resample(C5, 1, params=LLLParameters(0.5, 0.5, 0.0, False)),
+    ("lll_resample-p0", lambda: lll_resample(C5, 1, p=0.0),
      GraphInputError, "p must lie in (0, 1], got 0.0"),
-    ("lll_resample-p>1", lambda: lll_resample(C5, 1, params=LLLParameters(0.5, 0.5, 1.5, False)),
+    ("lll_resample-p>1", lambda: lll_resample(C5, 1, p=1.5),
      GraphInputError, "p must lie in (0, 1], got 1.5"),
     ("lll_parameters-degree", lambda: lll_parameters(1, 1), GraphInputError,
      "max_degree must be at least 2, got 1"),
-    ("lll_parameters-clamp", lambda: lll_parameters(3, 1, clamp=1.0), GraphInputError,
-     "clamp must lie in (0, 1), got 1.0"),
     ("sample_repair-p", lambda: sample_and_repair(C5, 1, p=1.5), GraphInputError,
      "p must lie in [0, 1], got 1.5"),
     # members of a vertex set
