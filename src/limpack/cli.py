@@ -24,6 +24,7 @@ from .generators import gen_cycle, gen_named, gen_projective, gen_random_regular
 from .graph import (
     Graph,
     TypedMultigraph,
+    _check_vertex_count,
     build_graph,
     degree_stats,
     disjoint_union,
@@ -181,6 +182,7 @@ def _cmd_gen(args) -> int:
         if args.n is None or args.r is None:
             raise _UsageError("gen --family random-regular needs --n and --r")
         g = gen_random_regular(args.n, args.r, args.seed)
+    _check_vertex_count(g.n * args.copies)  # before the list of copies is made
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_graph(disjoint_union(*[g] * args.copies)))
     return 0

@@ -4,7 +4,8 @@ Cycles, the chorded 6-cycle H6 (isomorphic to K_{3,3}), the Petersen
 graph, K4, seeded random regular graphs via the pairing model, and the
 projective orthogonality graphs over GF(q): vertices are the points of a
 (k+1)-dimensional projective space over GF(q), joined when their inner
-product vanishes.
+product vanishes.  Each generator refuses a graph over
+``graph.MAX_VERTICES`` vertices before it lists any edge or point.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GraphInputError, ResourceLimitError
-from .graph import Graph
+from .graph import Graph, _check_vertex_count
 
 # q -> (characteristic p, extension degree, irreducible polynomial coeffs
 # low-to-high).  x^2+x+1 over GF(2), x^3+x+1 over GF(2), x^2+1 over GF(3).
@@ -89,6 +90,7 @@ def projective_points(q: int, k: int) -> list[ProjectivePoint]:
     if k < 1:
         raise GraphInputError(f"k must be at least 1, got {k}")
     GaloisField(q)  # validates q
+    _check_vertex_count((q ** (k + 2) - 1) // (q - 1))
     # the leading 1 moves from the last position to the first, so each
     # block of points follows every point with more leading zeros
     return [
@@ -120,6 +122,7 @@ def gen_cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
     if n < 3:
         raise GraphInputError(f"a cycle needs at least 3 vertices, got {n}")
+    _check_vertex_count(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -156,6 +159,7 @@ def gen_random_regular(n: int, r: int, seed: int, max_attempts: int = 1000) -> G
         raise GraphInputError(f"n*r must be even, got n={n}, r={r}")
     if r > 0 and r >= n:
         raise GraphInputError(f"need r < n, got n={n}, r={r}")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         edges = _pairing_attempt(n, r, rng)

@@ -155,6 +155,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
     """Place the graphs side by side, in one pass; each graph's vertices
     are shifted by the vertex count of the graphs before it (the first
     graph's neighbor tuples are shared, not copied)."""
+    _check_vertex_count(sum(g.n for g in graphs))
     adj: list[tuple[int, ...]] = []
     for g in graphs:
         shift = len(adj)
@@ -329,7 +330,9 @@ def serialize_packing(vertices: Iterable[int]) -> str:
 
 def _check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
-        raise ResourceLimitError(f"graph has {n} vertices (limit {MAX_VERTICES})")
+        # a count too long to write out (huge projective spaces) goes by its bit length
+        count = n if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1}"
+        raise ResourceLimitError(f"graph has {count} vertices (limit {MAX_VERTICES})")
 
 
 def _check_endpoint(v: int, n: int) -> None:

@@ -142,7 +142,8 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_three(tmp_path):
-    """A request too large for memory ends in one error line and exit 3.
+    """A graph under the vertex limit but too large for the memory cap
+    ends in one error line and exit 3.
 
     The address-space cap is set in the child process only."""
     import resource
@@ -150,7 +151,7 @@ def test_out_of_memory_exits_three(tmp_path):
     cap = 256 * 2**20
     out = subprocess.run(
         [sys.executable, "-m", "limpack.cli", "gen", "--family", "cycle",
-         "--n", "1000000000", "--out", str(tmp_path / "big.graph")],
+         "--n", "9000000", "--out", str(tmp_path / "big.graph")],
         capture_output=True,
         text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
@@ -212,6 +213,36 @@ def test_graph_vertex_limit_applies_before_building(tmp_path, argv):
     )
     assert out.returncode == 3
     assert out.stderr == "error: graph has 1000000000 vertices (limit 10000000)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["--family", "cycle", "--n", "1000000000"], 1000000000),
+        (["--family", "random-regular", "--n", "100000000", "--r", "3"], 100000000),
+        (["--family", "petersen", "--copies", "100000000"], 1000000000),
+        (["--family", "projective", "--q", "101", "--k", "3"], 105101005),
+    ],
+    ids=["cycle", "random-regular", "copies", "projective"],
+)
+def test_gen_vertex_limit_applies_before_generating(tmp_path, argv, n):
+    """gen refuses a graph over graph.MAX_VERTICES before listing its
+    edges, points or copies, even under a small memory cap (set in the
+    child process only), and writes no file."""
+    import resource
+
+    cap = 128 * 2**20
+    out_path = tmp_path / "big.graph"
+    out = subprocess.run(
+        [sys.executable, "-m", "limpack.cli", "gen", *argv, "--out", str(out_path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert out.returncode == 3
+    assert out.stderr == f"error: graph has {n} vertices (limit 10000000)\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
@@ -417,6 +448,34 @@ def test_construct_with_explicit_p(tmp_path, capsys, method, p, head, digest):
     assert code == 0
     assert stdout.splitlines()[:4] == head
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["solve", "--dominating", "GRAPH"], 2, "usage error: solve --dominating needs --l\n"),
+        (["verify", "--dominating", "--packing", "PACKING", "GRAPH"], 2,
+         "usage error: verify --dominating needs --l\n"),
+        (["gen", "--family", "projective", "--q", "2", "--out", "OUT"], 2,
+         "usage error: gen --family projective needs --q and --k\n"),
+        (["gen", "--family", "random-regular", "--n", "10", "--out", "OUT"], 2,
+         "usage error: gen --family random-regular needs --n and --r\n"),
+        (["verify", "--dominating", "--l", "1", "--packing", "PACKING", "TYPED"], 3,
+         "error: typed multigraphs support packing verification only\n"),
+    ],
+    ids=["solve-no-l", "verify-no-l", "projective-no-k", "regular-no-r", "verify-typed-dominating"],
+)
+def test_input_errors(tmp_path, capsys, argv, code, err):
+    files = {
+        "GRAPH": write_graph(tmp_path, "p3.graph", parse_graph("3 2\n0 1\n1 2\n")),
+        "TYPED": str(tmp_path / "typed.graph"),
+        "PACKING": str(tmp_path / "p.pack"),
+        "OUT": str(tmp_path / "out.graph"),
+    }
+    (tmp_path / "typed.graph").write_text("3 2\n0 1 c\n1 2 d\n")
+    (tmp_path / "p.pack").write_text("0\n")
+    assert run_cli(capsys, *[files.get(a, a) for a in argv]) == (code, "", err)
+    assert not (tmp_path / "out.graph").exists()
 
 
 def test_bounds_from_flags(capsys):

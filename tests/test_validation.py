@@ -1,9 +1,9 @@
 """Every argument check raises its documented type with its exact message.
 
 One row per raise site: a name, the call, the exception type and the
-message.  The k and l checks, the vertex checks and the resampler
-parameter checks are each written once in the package, so these rows
-pin what every caller reports.
+message.  The k and l checks, the vertex checks, the vertex limit and
+the resampler parameter checks are each written once in the package, so
+these rows pin what every caller reports.
 """
 
 import pytest
@@ -18,15 +18,19 @@ from limpack import (
     TypedMultigraph,
     auto_sample_rate,
     bound_sheet,
+    disjoint_union,
     dual_complement,
     enumerate_oracle,
     gen_cycle,
+    gen_projective,
     gen_random_regular,
     greedy_packing,
     lll_parameters,
     lll_resample,
     max_k_limited,
     min_tuple_dominating,
+    parse_graph,
+    parse_packing,
     projective_points,
     sample_and_repair,
     verify_k_limited,
@@ -75,6 +79,33 @@ CASES = [
      "vertex '0' is not an int"),
     ("from_edges-limit", lambda: Graph.from_edges(10**7 + 1, []), ResourceLimitError,
      "graph has 10000001 vertices (limit 10000000)"),
+    # the graph file format and the packing file format
+    ("parse-header-tokens", lambda: parse_graph("3\n"), GraphInputError,
+     "line 1: expected header 'n m'"),
+    ("parse-header-int", lambda: parse_graph("# c\n3 x\n"), GraphInputError,
+     "line 2: expected header 'n m'"),
+    ("parse-header-negative", lambda: parse_graph("-1 0\n"), GraphInputError,
+     "line 1: header values must be nonnegative"),
+    ("parse-extra-edge", lambda: parse_graph("3 1\n0 1\n1 2\n"), GraphInputError,
+     "line 3: more than 1 edge lines"),
+    ("parse-tokens", lambda: parse_graph("3 1\n0 1 c d\n"), GraphInputError,
+     "line 2: expected 'u v' or 'u v c|d'"),
+    ("parse-endpoint-int", lambda: parse_graph("3 1\n0 x\n"), GraphInputError,
+     "line 2: endpoints must be integers"),
+    ("parse-range", lambda: parse_graph("3 1\n0 3\n"), GraphInputError,
+     "line 2: vertex index out of range (n=3)"),
+    ("parse-loop", lambda: parse_graph("3 1\n1 1\n"), GraphInputError,
+     "line 2: self-loop at vertex 1"),
+    ("parse-type", lambda: parse_graph("3 1\n0 1 x\n"), GraphInputError,
+     "line 2: edge type must be 'c' or 'd'"),
+    ("parse-no-header", lambda: parse_graph("# only a comment\n\n"), GraphInputError,
+     "line 1: missing header 'n m'"),
+    ("parse-edge-count", lambda: parse_graph("3 2\n0 1\n"), GraphInputError,
+     "expected 2 edge lines, found 1"),
+    ("parse-limit", lambda: parse_graph("10000001 0\n"), ResourceLimitError,
+     "graph has 10000001 vertices (limit 10000000)"),
+    ("packing-int", lambda: parse_packing("0 1\n2 x # c\n"), GraphInputError,
+     "line 2: packing entries must be integers, got 'x'"),
     # typed multigraph construction
     ("typed-n", lambda: TypedMultigraph.from_edges(-1, []), GraphInputError,
      "vertex count must be nonnegative, got -1"),
@@ -97,6 +128,17 @@ CASES = [
     ("projective-k", lambda: projective_points(2, 0), GraphInputError, "k must be at least 1, got 0"),
     ("regular-n", lambda: gen_random_regular(-1, 3, 0), GraphInputError,
      "n and r must be nonnegative, got n=-1, r=3"),
+    # the vertex limit, before any edge, point or copy is listed
+    ("cycle-limit", lambda: gen_cycle(10**7 + 1), ResourceLimitError,
+     "graph has 10000001 vertices (limit 10000000)"),
+    ("regular-limit", lambda: gen_random_regular(10**7 + 2, 3, 0), ResourceLimitError,
+     "graph has 10000002 vertices (limit 10000000)"),
+    ("projective-limit", lambda: gen_projective(101, 3), ResourceLimitError,
+     "graph has 105101005 vertices (limit 10000000)"),
+    ("projective-huge", lambda: gen_projective(2, 20000), ResourceLimitError,
+     "graph has over 2^20001 vertices (limit 10000000)"),
+    ("union-limit", lambda: disjoint_union(*[C5] * 2_000_001), ResourceLimitError,
+     "graph has 10000005 vertices (limit 10000000)"),
     # the oracle
     ("oracle-no-l", lambda: enumerate_oracle(C5, mode="domination"), GraphInputError,
      "domination mode needs a positive l"),
