@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import InternalError, PreconditionError
 from .graph import (
@@ -347,9 +347,7 @@ class _State:
 _Step = tuple[str, set[int], list[tuple[int, int]], set[int]]
 
 
-def construct_two_limited(
-    tm: Union[Graph, TypedMultigraph]
-) -> tuple[frozenset[int], ReductionTrace]:
+def construct_two_limited(tm: Graph | TypedMultigraph) -> tuple[frozenset[int], ReductionTrace]:
     """2-limited set X with 3|X| >= n for a typed multigraph of max degree 3.
 
     A plain Graph is promoted first, every edge typed d.  Preconditions: every vertex degree (both edge types counted) at most

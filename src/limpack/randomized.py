@@ -15,9 +15,8 @@ lowest k.  Deletions never raise a count, so only vertices that start
 overfull are fixed, each once and in ascending order, and the result
 always verifies.  Its auto rate p = (C(D,k)*(D+1))^(-1/k) maximizes the
 guaranteed expected size p - C(D+1,k+1)*p^(k+1) per vertex, which works
-out to exactly the random lower bound of the bound sheet.  Both
-constructors take one optional rate p: None means the method's own
-rate, a float overrides it.
+out to exactly the random lower bound of the bound sheet.  In both
+constructors p=None means the method's own rate and a float overrides it.
 
 ``lll_resample`` fixes v in the Moser-Tardos style, by resampling the
 whole of N[v], for at most ``max_rounds`` rounds.  The resampler is this
@@ -121,10 +120,10 @@ def sample_and_repair(
 ) -> RandomRunReport:
     """Independent sampling at rate p, then deterministic repair.
 
-    p defaults to auto_sample_rate of the maximum degree and k; a given p
-    must lie in [0, 1].  While some closed neighborhood holds more than k members, the lowest
-    such vertex v loses the members of N[v] above the lowest k (by
-    index).  Deletions never raise a count, so the repair always ends
+    p=None samples at auto_sample_rate(D, k), never clamped; a given p
+    must lie in [0, 1].  While some closed neighborhood holds more than k
+    members, the lowest such vertex v loses the members of N[v] above the
+    lowest k (by index).  Deletions never raise a count, so the repair always ends
     with a verifying set; identical inputs and seed give identical
     reports.
     """
@@ -190,9 +189,10 @@ def lll_resample(
     vertex v with |N[v] ∩ X| >= k+1.  A run that still has such a vertex
     after max_rounds rounds returns a failure report carrying the last X;
     it is never presented as a valid packing.  The run uses
-    default_lll_parameters(g, k), with p replaced when one is given (it
-    must lie in (0, 1]); the report carries them.  Success reports record
-    whether |X| >= (1-epsilon2)*n*p.
+    default_lll_parameters(g, k) (epsilons out of range clamped to the
+    constant 0.5), with p replaced when one is given (it must lie in
+    (0, 1]); the report carries them.  Success reports record whether
+    |X| >= (1-epsilon2)*n*p.
     """
     _check_positive("k", k)
     if max_rounds < 1:
