@@ -350,9 +350,10 @@ _Step = tuple[str, set[int], list[tuple[int, int]], set[int]]
 def construct_two_limited(tm: Graph | TypedMultigraph) -> tuple[frozenset[int], ReductionTrace]:
     """2-limited set X with 3|X| >= n for a typed multigraph of max degree 3.
 
-    A plain Graph is promoted first, every edge typed d.  Preconditions: every vertex degree (both edge types counted) at most
-    3, and no connected component is a K4 made entirely of c-edges.  The
-    returned set always verifies; the trace records every reduction.
+    A plain Graph is promoted first, every edge typed d.  Preconditions:
+    every vertex degree (both edge types counted) at most 3, and no
+    connected component is a K4 made entirely of c-edges.  The returned
+    set always verifies; the trace records every reduction.
     """
     if isinstance(tm, Graph):
         tm = TypedMultigraph.from_graph(tm)

@@ -89,8 +89,9 @@ def projective_points(q: int, k: int) -> list[ProjectivePoint]:
     """
     if k < 1:
         raise GraphInputError(f"k must be at least 1, got {k}")
+    if q >= 2:  # before GaloisField's primality test, which takes sqrt(q) steps
+        _check_vertex_count((q ** (k + 2) - 1) // (q - 1))
     GaloisField(q)  # validates q
-    _check_vertex_count((q ** (k + 2) - 1) // (q - 1))
     # the leading 1 moves from the last position to the first, so each
     # block of points follows every point with more leading zeros
     return [
@@ -107,8 +108,8 @@ def gen_projective(q: int, k: int) -> Graph:
     self-orthogonal points do not get self-loops, so degrees are H or H-1
     with H = (q^(k+1)-1)/(q-1).
     """
-    field = GaloisField(q)
     pts = projective_points(q, k)
+    field = GaloisField(q)
     n = len(pts)
     edges = []
     for i in range(n):

@@ -123,9 +123,9 @@ def sample_and_repair(
     p=None samples at auto_sample_rate(D, k), never clamped; a given p
     must lie in [0, 1].  While some closed neighborhood holds more than k
     members, the lowest such vertex v loses the members of N[v] above the
-    lowest k (by index).  Deletions never raise a count, so the repair always ends
-    with a verifying set; identical inputs and seed give identical
-    reports.
+    lowest k (by index).  Deletions never raise a count, so the repair
+    always ends with a verifying set; identical inputs and seed give
+    identical reports.
     """
     _check_positive("k", k)
     rate = auto_sample_rate(degree_stats(g).max_degree, k) if p is None else float(p)

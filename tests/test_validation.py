@@ -137,6 +137,8 @@ CASES = [
      "graph has 105101005 vertices (limit 10000000)"),
     ("projective-huge", lambda: gen_projective(2, 20000), ResourceLimitError,
      "graph has over 2^20001 vertices (limit 10000000)"),
+    ("projective-big-q", lambda: gen_projective(10**18 + 3, 1), ResourceLimitError,
+     "graph has over 2^119 vertices (limit 10000000)"),
     ("union-limit", lambda: disjoint_union(*[C5] * 2_000_001), ResourceLimitError,
      "graph has 10000005 vertices (limit 10000000)"),
     # the oracle
