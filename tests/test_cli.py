@@ -434,6 +434,7 @@ def test_construct_lll_succeeds_in_its_last_round(tmp_path, capsys):
         ("sample-repair", "0.3", ["size: 472", "rounds: 0", "repairs: 116", "clamped: false"],
          "3df043bc46fd7da617a2d4a8bcd5e8637228cc267163feec6c348bf2cb235383"),
     ],
+    ids=["lll", "sample-repair"],
 )
 def test_construct_with_explicit_p(tmp_path, capsys, method, p, head, digest):
     """`--p` overrides the method's own rate; the report lines and the
@@ -466,16 +467,13 @@ def test_construct_with_explicit_p(tmp_path, capsys, method, p, head, digest):
     ids=["solve-no-l", "verify-no-l", "projective-no-k", "regular-no-r", "verify-typed-dominating"],
 )
 def test_input_errors(tmp_path, capsys, argv, code, err):
-    files = {
-        "GRAPH": write_graph(tmp_path, "p3.graph", parse_graph("3 2\n0 1\n1 2\n")),
-        "TYPED": str(tmp_path / "typed.graph"),
-        "PACKING": str(tmp_path / "p.pack"),
-        "OUT": str(tmp_path / "out.graph"),
-    }
-    (tmp_path / "typed.graph").write_text("3 2\n0 1 c\n1 2 d\n")
-    (tmp_path / "p.pack").write_text("0\n")
-    assert run_cli(capsys, *[files.get(a, a) for a in argv]) == (code, "", err)
-    assert not (tmp_path / "out.graph").exists()
+    """Each names its error on one line; the upper-case arguments are files."""
+    files = {"GRAPH": "3 2\n0 1\n1 2\n", "TYPED": "3 2\n0 1 c\n1 2 d\n", "PACKING": "0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+    assert run_cli(capsys, *argv) == (code, "", err)
+    assert not (tmp_path / "OUT").exists()
 
 
 def test_bounds_from_flags(capsys):
