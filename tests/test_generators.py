@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -16,6 +17,7 @@ from limpack import (
     gen_random_regular,
     pairwise_distance,
     projective_points,
+    serialize_graph,
 )
 
 
@@ -186,3 +188,34 @@ def test_hyperplane_cover(q, k):
 
 def test_projective_deterministic():
     assert gen_projective(3, 1) == gen_projective(3, 1)
+
+
+# SHA-256 of serialize_graph(gen_projective(q, k)), recorded from the
+# pairwise-dot generator so that a faster one must match it byte for byte.
+PROJECTIVE_SHA256 = [
+    (2, 1, "0a45103aea88da5ef574eed756e042961af3298f465a55c443869c83923159cf"),
+    (3, 1, "8c44ea6d338dfb7c4223914e11a7c057be4db3c9cea07453bade297308f059eb"),
+    (4, 1, "272ca2eb217cbb34aea370580cf969958d635ee463b6b69de3dd8c5fd03c582e"),
+    (5, 1, "50e4da4660bb740e8f1c1eb629fffed4de34553a07f035d1e301b6bc156fb754"),
+    (7, 1, "b12e444a0ae1623e677771467170c38524e7795e958d607d37b19de426b41fd6"),
+    (8, 1, "dbee104fd04ea943c794d63660d3534e88c656d96dbc59c37076614ffe2d17a3"),
+    (9, 1, "5c9e2320e1c131e64dc2f25c49bd656489e00e793104dca800f4ab0b118d78e0"),
+    (11, 1, "1096ef6a26646b68f6517ff0f9775c3cecd0a10e3bdc698a29dd55c42dcb1c07"),
+    (13, 1, "c8f58491b334fdddec2b79ea107b1a24a098b2d421e6c5c7ee7c4f0db8badcc6"),
+    (17, 1, "aeeba0c3262c6e51f2f2e34ffa1d19fa53b0ea86a733761be95be78d5d4c01de"),
+    (19, 1, "a8033d38230f24362a100db3809a1f6dea93dcd43cca15408c1f5e543d571e11"),
+    (23, 1, "6e20faba0b9ef3f1152df92af59b1a1558a42c7ecd3bb8686e9e32405eedbffc"),
+    (2, 2, "3d765a659b436854897a6e46ffecdbc83b69211a269aaa17c2dcd786fc1cc9d5"),
+    (3, 2, "97a550de7d31d030050b2718f8c85dbe9fd7798db84154219466c5608dc8fbc9"),
+    (4, 2, "00af3ab72a81c451529f5aa0b5f9864b448d3cf5c9eb198318197c2b2f269509"),
+    (5, 2, "a6edb79abbe7084b433ad4723f3ee75ef7500c5ad36816240e43a27d3e4a0452"),
+    (7, 2, "9881a0242642cecfeee9562c7e3affbc09d744122f88389fb98694c911637e6a"),
+    (8, 2, "2997b0a882aed4a72270492705f61ecada05a4961eb7fd66cb5c2ba0cac61a67"),
+    (9, 2, "a73628836502c0782c275f2d3de8825ea1e18fb81fa079f05b40854fb44833b5"),
+]
+
+
+@pytest.mark.parametrize("q,k,digest", PROJECTIVE_SHA256)
+def test_projective_bytes_pinned(q, k, digest):
+    text = serialize_graph(gen_projective(q, k))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
