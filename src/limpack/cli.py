@@ -207,42 +207,44 @@ def _cmd_solve(args) -> int:
 def _cmd_construct(args) -> int:
     """Print the size, the run's report lines, then the witness as a
     packing-file line."""
-    method = args.method
-    report_lines: list[str] = []
-    success = True
-    if method == "cubic2":
+    if args.method == "cubic2":
         if args.k != 2:
             raise _UsageError("construct --method cubic2 requires --k 2")
-        chosen, trace = construct_two_limited(_read_graph(args.file))
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(trace.to_text())
+        g = _read_graph(args.file)
     else:
-        g = _plain_graph(_read_graph(args.file), args.file, f"construct --method {method}")
-        if method == "greedy":
-            chosen = greedy_packing(g, args.k)
-        elif method == "sample-repair":
-            report = sample_and_repair(g, args.k, p=args.p, seed=args.seed)
-            chosen = report.packing.vertices
-            report_lines = [
-                f"rounds: {report.rounds}", f"repairs: {report.repairs}", "clamped: false"
-            ]
-        else:  # lll
-            report = lll_resample(
-                g, args.k, p=args.p, seed=args.seed, max_rounds=args.max_rounds
-            )
-            chosen = report.packing.vertices
-            success = report.success
-            report_lines = [
-                f"rounds: {report.rounds}",
-                f"clamped: {'true' if report.params.clamped else 'false'}",
-                f"success: {'true' if success else 'false'}",
-            ]
+        g = _plain_graph(_read_graph(args.file), args.file, f"construct --method {args.method}")
+    chosen, report_lines, success, trace = _construct(
+        args.method, g, args.k, args.seed, args.p, args.max_rounds
+    )
+    if args.trace and trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.write(trace.to_text())
     print(f"size: {len(chosen)}")
     for line in report_lines:
         print(line)
     sys.stdout.write("witness: " + serialize_packing(chosen))
     return 0 if success else 1
+
+
+def _construct(method: str, g, k: int, seed: int = 0, p=None, max_rounds: int = 100_000):
+    """Run one construct method on g: the chosen set, the report lines,
+    whether the run succeeded, and the cubic2 trace (None otherwise)."""
+    if method == "cubic2":
+        chosen, trace = construct_two_limited(g)
+        return chosen, [], True, trace
+    if method == "greedy":
+        return greedy_packing(g, k), [], True, None
+    if method == "sample-repair":
+        report = sample_and_repair(g, k, p=p, seed=seed)
+        lines = [f"rounds: {report.rounds}", f"repairs: {report.repairs}", "clamped: false"]
+    else:  # lll
+        report = lll_resample(g, k, p=p, seed=seed, max_rounds=max_rounds)
+        lines = [
+            f"rounds: {report.rounds}",
+            f"clamped: {'true' if report.params.clamped else 'false'}",
+            f"success: {'true' if report.success else 'false'}",
+        ]
+    return report.packing.vertices, lines, report.success, None
 
 
 def _cmd_verify(args) -> int:
@@ -313,22 +315,16 @@ def _cmd_bench(args) -> int:
     for family, g, k in _bench_rows():
         stats = degree_stats(g)
         upper = bound_sheet(g.n, stats.max_degree, stats.min_degree, k).packing_upper
-        methods = [("exact", lambda: max_k_limited(g, k).optimum)]
-        methods.append(("greedy", lambda: len(greedy_packing(g, k))))
-        methods.append(
-            ("sample-repair", lambda: len(sample_and_repair(g, k, seed=0).packing.vertices))
-        )
-        methods.append(
-            ("lll", lambda: len(lll_resample(g, k, seed=0).packing.vertices))
-        )
+        methods = ["exact", "greedy", "sample-repair", "lll"]
         if k == 2 and stats.max_degree <= 3:
-            methods.append(
-                ("cubic2", lambda: len(construct_two_limited(g)[0]))
-            )
+            methods.append("cubic2")
         results = []
-        for name, run in methods:
+        for name in methods:
             start = time.perf_counter()
-            size = run()
+            if name == "exact":
+                size = max_k_limited(g, k).optimum
+            else:
+                size = len(_construct(name, g, k)[0])
             results.append((name, size, (time.perf_counter() - start) * 1000.0))
         # the timed "exact" solve is the first method and supplies the exact column
         exact = results[0][1]

@@ -47,7 +47,7 @@ class Graph:
             _check_endpoint(v, n)
             if u == v:
                 raise GraphInputError(f"self-loop at vertex {u}")
-        return _build_plain(n, edges)
+        return Graph(n, _adjacency(n, edges))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         _check_endpoint(v, self.n)
@@ -95,7 +95,8 @@ class TypedMultigraph:
                 raise GraphInputError(f"self-loop at vertex {u}")
             if t not in ("c", "d"):
                 raise GraphInputError(f"unknown edge type {t!r} (expected 'c' or 'd')")
-        return _build_typed(n, edges)
+        c_adj, d_adj = (_adjacency(n, [(u, v) for u, v, s in edges if s == t]) for t in "cd")
+        return TypedMultigraph(n, c_adj, d_adj)
 
     @staticmethod
     def from_graph(g: Graph) -> "TypedMultigraph":
@@ -268,32 +269,26 @@ def read_edge_lines(text: str) -> tuple[int, list[tuple[int, int, Optional[str]]
 def build_graph(
     n: int, raw_edges: list[tuple[int, int, Optional[str]]]
 ) -> Union[Graph, TypedMultigraph]:
-    """The graph of `read_edge_lines`' output: typed if any line is.  The
-    lines are already checked, so the adjacency is built directly."""
-    if any(t for _, _, t in raw_edges):
-        return _build_typed(n, [(u, v, t or "d") for u, v, t in raw_edges])
-    return _build_plain(n, [(u, v) for u, v, _ in raw_edges])
+    """The graph of `read_edge_lines`' output: typed if any line is, with
+    untyped lines as d-edges.  The lines are already checked, so the
+    adjacency is built directly."""
+    if not any(t for _, _, t in raw_edges):
+        return Graph(n, _adjacency(n, [(u, v) for u, v, _ in raw_edges]))
+    c_adj, d_adj = (
+        _adjacency(n, [(u, v) for u, v, s in raw_edges if (s or "d") == t]) for t in "cd"
+    )
+    return TypedMultigraph(n, c_adj, d_adj)
 
 
-def _build_plain(n: int, edges: list[tuple[int, int]]) -> Graph:
-    """The graph of checked edges (endpoints in range, no self-loops)."""
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of checked vertex pairs (endpoints in range,
+    no self-loops), repeated pairs dropped; n is checked before allocating."""
     _check_vertex_count(n)
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
+    for u, v in pairs:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
-
-
-def _build_typed(n: int, edges: list[tuple[int, int, str]]) -> TypedMultigraph:
-    """The typed multigraph of checked edges (types 'c' or 'd' only)."""
-    _check_vertex_count(n)
-    nbrs: dict[str, list[set[int]]] = {t: [set() for _ in range(n)] for t in "cd"}
-    for u, v, t in edges:
-        nbrs[t][u].add(v)
-        nbrs[t][v].add(u)
-    c_adj, d_adj = (tuple(tuple(sorted(s)) for s in nbrs[t]) for t in "cd")
-    return TypedMultigraph(n, c_adj, d_adj)
+    return tuple(tuple(sorted(s)) for s in nbrs)
 
 
 def serialize_graph(g: Union[Graph, TypedMultigraph]) -> str:

@@ -92,15 +92,12 @@ def verify_typed_two_limited(tm: TypedMultigraph, vertices: Iterable[int]) -> Ve
 def verify_tuple_dominating(g: Graph, vertices: Iterable[int], l: int) -> VerificationReport:
     """Check |N[v] ∩ D| >= l for every vertex.
 
-    When D holds more than half the vertices, the complement is counted
-    instead: |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D| on any graph."""
+    The complement is counted, as the solver treats domination as the
+    complement packing: |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D| on any graph."""
     _check_positive("l", l)
     ds = _check_subset(vertices, g.n)
-    if 2 * len(ds) > g.n:
-        outside = closed_counts(g.adj, filterfalse(ds.__contains__, range(g.n)))
-        counts = [len(a) + 1 - c for a, c in zip(g.adj, outside)]
-    else:
-        counts = closed_counts(g.adj, ds)
+    outside = closed_counts(g.adj, filterfalse(ds.__contains__, range(g.n)))
+    counts = [len(a) + 1 - c for a, c in zip(g.adj, outside)]
     violations = tuple(VertexViolation(v, c, l) for v, c in enumerate(counts) if c < l)
     return VerificationReport(not violations, violations)
 
