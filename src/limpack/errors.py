@@ -32,6 +32,9 @@ class InternalError(LimpackError, RuntimeError):
 
 
 def _check_positive(name: str, value: int) -> None:
-    """Every limit k or l of a packing or domination problem is at least 1."""
+    """Every limit k or l of a packing or domination problem is an int (not
+    a bool) of at least 1."""
+    if type(value) is not int:
+        raise GraphInputError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise GraphInputError(f"{name} must be positive, got {value}")

@@ -53,6 +53,31 @@ CASES = [
     ("min_tuple-l", lambda: min_tuple_dominating(C5, 0), GraphInputError, "l must be positive, got 0"),
     ("verify_k-k", lambda: verify_k_limited(C5, [], -2), GraphInputError, "k must be positive, got -2"),
     ("verify_tuple-l", lambda: verify_tuple_dominating(C5, [], 0), GraphInputError, "l must be positive, got 0"),
+    # k and l must be ints, not floats or bools
+    ("greedy-float-k", lambda: greedy_packing(C5, 1.5), GraphInputError, "k must be an int, got 1.5"),
+    ("max_k_limited-float-k", lambda: max_k_limited(C5, 1.5), GraphInputError,
+     "k must be an int, got 1.5"),
+    ("min_tuple-float-l", lambda: min_tuple_dominating(C5, 1.5), GraphInputError,
+     "l must be an int, got 1.5"),
+    ("sample_repair-float-k", lambda: sample_and_repair(C5, 1.5), GraphInputError,
+     "k must be an int, got 1.5"),
+    ("lll_resample-bool-k", lambda: lll_resample(C5, True), GraphInputError,
+     "k must be an int, got True"),
+    ("verify_k-float-k", lambda: verify_k_limited(C5, [], 2.0), GraphInputError,
+     "k must be an int, got 2.0"),
+    ("verify_tuple-bool-l", lambda: verify_tuple_dominating(C5, [], True), GraphInputError,
+     "l must be an int, got True"),
+    ("bound_sheet-str-k", lambda: bound_sheet(10, 3, 3, "2"), GraphInputError,
+     "k must be an int, got '2'"),
+    ("auto_rate-float-k", lambda: auto_sample_rate(3, 1.0), GraphInputError,
+     "k must be an int, got 1.0"),
+    ("lll_parameters-float-k", lambda: lll_parameters(3, 2.5), GraphInputError,
+     "k must be an int, got 2.5"),
+    # every number the bound sheet turns into a float must fit one
+    ("bound_sheet-nk", lambda: bound_sheet(10**300, 3, 3, 10**9), GraphInputError,
+     "n*k and max_degree must be at most 1.7976931348623157e+308"),
+    ("bound_sheet-degree", lambda: bound_sheet(1, 10**309, 3, 1), GraphInputError,
+     "n*k and max_degree must be at most 1.7976931348623157e+308"),
     # the other resampler parameters
     ("lll_resample-rounds", lambda: lll_resample(C5, 1, max_rounds=0), GraphInputError,
      "max_rounds must be at least 1, got 0"),
