@@ -2,12 +2,15 @@
 
 Rational bounds are kept exact as fractions; bounds involving k-th roots
 or logarithms are 64-bit floats (the root is evaluated in double
-precision, relative error well under 1e-12 at desk scale).
+precision, relative error well under 1e-12 at desk scale).  A base too
+large for a float, as C(D,k)*(D+1) is at large D and k, has its root
+taken in log space instead.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
@@ -107,6 +110,8 @@ def bound_sheet(
         raise GraphInputError(
             f"need max_degree >= min_degree >= 0, got {max_degree}, {min_degree}"
         )
+    if max(n * k, max_degree) > sys.float_info.max:
+        raise GraphInputError(f"n*k and max_degree must be at most {sys.float_info.max!r}")
     d = float(min_degree) if avg_degree is None else float(avg_degree)
 
     exact_value = n if k > max_degree else None
@@ -114,11 +119,17 @@ def bound_sheet(
 
     random_lower = random_lower_alt = random_lower_simple = None
     if k <= max_degree:
+        # C(D,k)*(D+1) == (k+1)*C(D+1,k+1), the base of the alternative form
         base = math.comb(max_degree, k) * (max_degree + 1)
-        random_lower = n * k / ((k + 1) * base ** (1.0 / k))
-        alt_base = (k + 1) * math.comb(max_degree + 1, k + 1)
-        random_lower_alt = n * k / (k + 1) * (1.0 / alt_base) ** (1.0 / k)
-        random_lower_simple = n * k / (math.e * max_degree ** (1.0 + 1.0 / k))
+        try:
+            random_lower = n * k / ((k + 1) * base ** (1.0 / k))
+            random_lower_alt = n * k / (k + 1) * (1.0 / base) ** (1.0 / k)
+        except OverflowError:  # base beyond a float: its root in log space
+            random_lower = random_lower_alt = n * k / (k + 1) * _power(base, -1.0 / k)
+        try:
+            random_lower_simple = n * k / (math.e * max_degree ** (1.0 + 1.0 / k))
+        except OverflowError:
+            random_lower_simple = n * k / math.e * _power(max_degree, -1.0 - 1.0 / k)
 
     packing_upper = Fraction(k * n, min_degree + 1)
 
@@ -157,3 +168,9 @@ def bound_sheet(
         cubic_quarter_lower=cubic_quarter_lower,
         cubic_l3_lower=cubic_l3_lower,
     )
+
+
+def _power(x: int, e: float) -> float:
+    """x ** e for an int x >= 1, by way of math.log, which takes an int
+    too large for a float."""
+    return math.exp(e * math.log(x))

@@ -39,6 +39,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
+from .bounds import _power
 from .errors import GraphInputError, _check_positive
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
@@ -112,7 +113,10 @@ def auto_sample_rate(max_degree: int, k: int) -> float:
     if k > max_degree:
         return 1.0
     base = math.comb(max_degree, k) * (max_degree + 1)
-    return base ** (-1.0 / k)
+    try:
+        return base ** (-1.0 / k)
+    except OverflowError:  # base beyond a float: its root in log space
+        return _power(base, -1.0 / k)
 
 
 def sample_and_repair(

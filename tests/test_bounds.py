@@ -1,9 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from limpack import GraphInputError, bound_sheet
+from limpack import GraphInputError, auto_sample_rate, bound_sheet
 
 
 def test_cubic_k2_random_lower_closed_form():
@@ -106,3 +107,54 @@ def test_to_text_deterministic():
     b = bound_sheet(60, 3, 3, 2).to_text()
     assert a == b
     assert "random_lower:" in a and "packing_upper: 30" in a
+
+
+def _log_comb(d, k):
+    return math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
+
+
+@pytest.mark.parametrize(
+    "n,d,k", [(10_001, 10**4, 200), (10**6, 10**5, 100), (50, 10**4, 10**4 // 2)]
+)
+def test_random_lower_beyond_float_range(n, d, k):
+    """From D = 10^4, k >= 133 on, C(D,k)*(D+1) exceeds a float; the k-th
+    root is then taken in log space, and agrees with lgamma."""
+    assert math.comb(d, k) * (d + 1) > sys.float_info.max
+    sheet = bound_sheet(n, d, 1, k)
+    expected = n * k / (k + 1) * math.exp(-(_log_comb(d, k) + math.log(d + 1)) / k)
+    assert sheet.random_lower == pytest.approx(expected, rel=1e-9)
+    assert sheet.random_lower_alt == sheet.random_lower
+    simple = n * k / (math.e * d ** (1 + 1 / k))
+    assert sheet.random_lower_simple == pytest.approx(simple, rel=1e-12)
+    rate = auto_sample_rate(d, k)
+    assert rate == pytest.approx(sheet.random_lower * (k + 1) / (n * k), rel=1e-12)
+
+
+def test_auto_rate_beyond_float_range():
+    assert auto_sample_rate(10**4, 200) == pytest.approx(0.00722, abs=5e-6)
+
+
+def test_log_space_root_meets_float_root():
+    """Just below the float limit (D = 10^4, k = 132) the float expressions
+    still run, and the log-space root gives the same value."""
+    d, k = 10**4, 132
+    base = math.comb(d, k) * (d + 1)
+    assert base < sys.float_info.max
+    log_root = math.exp(-math.log(base) / k)
+    expected = 100 * k / (k + 1) * log_root
+    assert bound_sheet(100, d, 1, k).random_lower == pytest.approx(expected, rel=1e-12)
+    assert auto_sample_rate(d, k) == pytest.approx(log_root, rel=1e-12)
+
+
+def test_simple_form_beyond_float_range():
+    """D^(1+1/k) above a float, with D itself a float: log space again."""
+    sheet = bound_sheet(10**300, 10**200, 10**200, 1)
+    assert sheet.random_lower_simple == pytest.approx(1e-100 / math.e, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n,d,k", [(10**400, 3, 1), (10**300, 3, 10**9), (1, 10**309, 1)], ids=["n", "n*k", "degree"]
+)
+def test_float_range_exceeded(n, d, k):
+    with pytest.raises(GraphInputError, match="must be at most"):
+        bound_sheet(n, d, 1, k)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from limpack import gen_named, gen_random_regular, parse_graph, serialize_graph
+from limpack import Graph, gen_named, gen_random_regular, parse_graph, serialize_graph
 from limpack.cli import main
 
 
@@ -565,3 +565,33 @@ def test_imports_only_the_standard_library():
     loaded = out.stdout.split()
     assert "limpack" in loaded
     assert [m for m in loaded if m != "limpack" and m not in sys.stdlib_module_names] == []
+
+
+def _star(leaves):
+    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k", "200", "STAR"],
+        ["construct", "--method", "sample-repair", "--k", "200", "STAR"],
+        ["bounds", "--k", "100", "--n", "1000000", "--maxdeg", "100000", "--mindeg", "100000"],
+    ],
+)
+def test_large_degree_and_k_beyond_float_range(tmp_path, capsys, argv):
+    """C(D,k)*(D+1) exceeds a float here; its k-th root is taken in log space."""
+    star = write_graph(tmp_path, "star.graph", _star(10_000))
+    code, stdout, err = run_cli(capsys, *[star if a == "STAR" else a for a in argv])
+    assert (code, err) == (0, "")
+    if argv[0] == "bounds":
+        assert "random_lower: n/a" not in stdout
+    else:
+        assert stdout.startswith("size: ")
+
+
+def test_bounds_beyond_float_range_exits_three(capsys):
+    argv = ["bounds", "--k", "1", "--n", str(10**400), "--maxdeg", "3", "--mindeg", "3"]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (3, "")
+    assert err == "error: n*k and max_degree must be at most 1.7976931348623157e+308\n"
