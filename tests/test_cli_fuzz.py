@@ -1,11 +1,15 @@
-"""Seeded CLI fuzz test: broken input files never crash the CLI.
+"""Seeded CLI fuzz tests: broken input files and extreme numeric flags
+never crash the CLI.
 
-Each case mutates a valid plain graph file, typed graph file or packing
-file (truncation, bad tokens, huge or negative counts, duplicate edges,
-typed/untyped mixes, invalid UTF-8) and runs one CLI command on it in a
-child process.  Children run one at a time, each under an address-space
-cap set in that child only.  Every run must end in a documented exit code
-(0 success, 1 invalid certificate or failed solve, 2 usage error, 3 input
+Each file case mutates a valid plain graph file, typed graph file or
+packing file (truncation, bad tokens, huge or negative counts, duplicate
+edges, typed/untyped mixes, invalid UTF-8) and runs one CLI command on
+it.  Each flag case runs `bounds` or `construct` with its numeric flags
+drawn from values that reach the float range and beyond (10^400), on a
+star whose centre has degree 10^4.  Every command runs in a child
+process; children run one at a time, each under an address-space cap set
+in that child only.  Every run must end in a documented exit code (0
+success, 1 invalid certificate or failed solve, 2 usage error, 3 input
 error) and write no traceback.
 """
 
@@ -18,7 +22,7 @@ import sys
 from corpus import random_typed_multigraph
 
 import limpack
-from limpack import gen_named, serialize_graph
+from limpack import Graph, gen_named, serialize_graph
 
 SEED = 20_261_018
 CASES = 40
@@ -28,6 +32,9 @@ BAD_TOKENS = [b"x", b"1.5", b"-1", b"nan", b"0x10", b"", b"\xd9\xa3", b"99999999
 COUNTS = [b"0", b"-3", b"64", b"65", b"1000000000", b"-1000000000", b"99999999999999999999"]
 TYPES = [b" c", b" d", b" e", b" c d", b""]
 INVALID_UTF8 = [b"\xff", b"\xc3", b"\xe9\x80", b"\xed\xa0\x80"]
+# from D = 10^4 with k >= 133, C(D,k)*(D+1) is beyond a float
+NUMBERS = ["1", "3", "133", str(10**5), str(10**400), "-1"]
+STAR_LEAVES = 10_000
 
 
 def _mutate(rng: random.Random, data: bytes) -> bytes:
@@ -74,8 +81,33 @@ def _commands(graph: str, packing: str) -> list[list[str]]:
     ]
 
 
+def _flag_commands(rng: random.Random, k: str, star: str) -> list[list[str]]:
+    n, maxdeg, mindeg = (rng.choice(NUMBERS) for _ in range(3))
+    return [
+        ["bounds", "--k", k, "--n", n, "--maxdeg", maxdeg, "--mindeg", mindeg],
+        ["bounds", "--k", k, star],
+        ["construct", "--method", "greedy", "--k", k, star],
+        ["construct", "--method", "sample-repair", "--k", k, "--seed", "3", star],
+        ["construct", "--method", "lll", "--k", k, "--max-rounds", "200", star],
+    ]
+
+
 def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+
+
+def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a child under the address-space cap."""
+    # -S skips the site hooks, which cost a third of each child's start-up;
+    # the child imports limpack from where this process found it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(limpack.__file__)))
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "limpack.cli", *argv],
+        capture_output=True,
+        env=env,
+        preexec_fn=_cap_memory,
+        timeout=60,
+    )
 
 
 def test_mutated_inputs_exit_cleanly(tmp_path):
@@ -87,9 +119,6 @@ def test_mutated_inputs_exit_cleanly(tmp_path):
     }
     graph_path = tmp_path / "g.graph"
     packing_path = tmp_path / "p.txt"
-    # -S skips the site hooks, which cost a third of each child's start-up;
-    # the child imports limpack from where this process found it
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(limpack.__file__)))
     seen = set()
     for case in range(CASES):
         target = rng.choice(sorted(bases))
@@ -102,16 +131,27 @@ def test_mutated_inputs_exit_cleanly(tmp_path):
         graph_path.write_bytes(graph)
         packing_path.write_bytes(packing)
         argv = rng.choice(_commands(str(graph_path), str(packing_path)))
-        out = subprocess.run(
-            [sys.executable, "-S", "-m", "limpack.cli", *argv],
-            capture_output=True,
-            env=env,
-            preexec_fn=_cap_memory,
-            timeout=60,
-        )
+        out = _run_capped(argv)
         context = (case, argv, graph, packing, out.stderr)
         assert out.returncode in (0, 1, 2, 3), context
         assert b"Traceback" not in out.stderr, context
         seen.add(out.returncode)
     # the mutations reach both the accepting and the rejecting paths
+    assert {0, 3} <= seen
+
+
+def test_numeric_flags_exit_cleanly(tmp_path):
+    """Every command runs once with each k; the other numbers are drawn."""
+    rng = random.Random(SEED)
+    star = tmp_path / "star.graph"
+    edges = [(0, v) for v in range(1, STAR_LEAVES + 1)]
+    star.write_text(serialize_graph(Graph.from_edges(STAR_LEAVES + 1, edges)))
+    seen = set()
+    for k in NUMBERS:
+        for argv in _flag_commands(rng, k, str(star)):
+            out = _run_capped(argv)
+            context = (argv, out.stderr)
+            assert out.returncode in (0, 1, 3), context
+            assert b"Traceback" not in out.stderr, context
+            seen.add(out.returncode)
     assert {0, 3} <= seen
