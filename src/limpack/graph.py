@@ -11,6 +11,9 @@ File format (UTF-8 text): optional ``#`` comment lines, then a header
 A file with no type tokens parses to a ``Graph``; any typed line makes it
 a ``TypedMultigraph`` whose untyped lines default to type d.  No graph
 has more than ``MAX_VERTICES`` vertices.
+
+Every adjacency, plain or of one edge type, is built by ``_adjacency``
+from checked vertex pairs, after the vertex count is checked.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ when every closed neighborhood contains at least l members of D.  On a
 typed multigraph the 2-limited condition splits in two: no c-edge has
 both endpoints in X, and every closed d-neighborhood holds at most 2
 members of X.
+
+Packings count |N[v] ∩ X| directly.  Domination counts the complement,
+|N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D|, the duality the solver uses too.
+Limits k and l are ints of at least 1.
 """
 
 from __future__ import annotations
