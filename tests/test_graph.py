@@ -150,6 +150,21 @@ def test_parse_comments_and_blank_lines():
     assert isinstance(g, Graph) and g.m == 3
 
 
+def test_parse_indented_comments_and_crlf():
+    g = parse_graph("  # spaces\r\n3 2\r\n\t# tab\r\n0 1\r\n \t\r\n1 2\r\n")
+    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_parse_d_only_types_give_a_typed_multigraph():
+    tm = parse_graph("3 2\n0 1 d\n1 2\n")
+    assert tm == TypedMultigraph.from_edges(3, [(0, 1, "d"), (1, 2, "d")])
+
+
+def test_parse_range_error_wins_over_bad_type():
+    with pytest.raises(GraphInputError, match=r"^line 2: vertex index out of range \(n=2\)$"):
+        parse_graph("2 1\n0 5 x\n")
+
+
 def test_duplicate_edges_are_dropped():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
@@ -211,6 +226,8 @@ def test_parse_packing():
     assert parse_packing("7 # trailing\n") == [7]
     with pytest.raises(GraphInputError, match="line 1"):
         parse_packing("1 x\n")
+    text = "9#10\r\n\t1\t2\r\n\r\n  # only a comment\r\n \t\r\n3\xa04"
+    assert parse_packing(text) == [9, 1, 2, 3, 4]
 
 
 def test_serialize_packing_round_trip():

@@ -1,0 +1,134 @@
+"""Differential test: the edge-list reader against a frozen two-pass copy.
+
+Seeded random texts go through ``parse_graph`` and ``parse_packing``,
+and seeded random (u, v, type) lists through
+``TypedMultigraph.from_edges``, both here and in ``reference_parse``.
+Each pair must agree on the built graph (its class and serialization),
+or on the exact exception type and message.  The texts mix endpoints in
+and out of range, bad tokens and types, comments, tabs, no-break spaces
+and both line ends; the lists mix bools, floats, strings, unhashable
+type tokens, wrong arities and one-shot iterators.
+"""
+
+import random
+
+import reference_parse as ref
+
+from limpack import Graph, TypedMultigraph, parse_graph, parse_packing, serialize_graph
+from limpack.graph import read_edge_lines
+
+SEED = 20_261_019
+CASES = 5000
+
+NUMBERS = ["0", "1", "2", "3", "4", "5", "7", "-1", "1.5", "x", "+2", "007", "10000001",
+           "100000000000", "99999999999999999999"]
+TYPES = ["c", "d"] * 12 + ["x", "#", "#c", "e", "cd", "D"]
+SEPS = [" ", " ", "  ", "\t", "\xa0", " \t "]
+COMMENTS = ["", "   ", "\t", "#", "# note", "  # indented", "\t#tab", "#c", "\xa0# nbsp"]
+
+
+def _outcome(call, *args):
+    try:
+        result = call(*args)
+    except Exception as exc:  # the exact type and message are compared
+        return type(exc), str(exc)
+    if isinstance(result, (Graph, TypedMultigraph)):
+        return type(result), serialize_graph(result)
+    return result
+
+
+def _tokens_line(rng: random.Random, tokens: list[str]) -> str:
+    line = rng.choice(["", "", " ", "\t", "\xa0"])
+    for i, tok in enumerate(tokens):
+        line += (rng.choice(SEPS) if i else "") + tok
+    if rng.random() < 0.05:
+        line += rng.choice([" #c", " # trailing", "#", " "])
+    return line
+
+
+def _graph_text(rng: random.Random) -> str:
+    n = rng.choice(["3", "5", "8"] * 4 + ["0", "1", "-1", "x", "10000001", "100000000000"])
+    m = rng.choice(["0", "1", "2", "3", "5", "5"] * 3 + ["-2", "1.5"])
+    header = [n, m] if rng.random() < 0.95 else rng.choice([[n], [n, m, "c"], []])
+    lines = [rng.choice(COMMENTS) for _ in range(rng.randrange(3))]
+    lines.append(_tokens_line(rng, header))
+    edges = int(m) + rng.choice([0, 0, 0, 0, -1, 1]) if m.isdigit() else rng.randrange(4)
+    bound = max(int(n), 2) if n.isdigit() and int(n) < 100 else 8
+    for _ in range(max(edges, 0)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(COMMENTS))
+        if rng.random() < 0.97:
+            u, v = (str(rng.randrange(bound + (rng.random() < 0.05))) for _ in range(2))
+        else:
+            u, v = rng.choice(NUMBERS), rng.choice(NUMBERS)
+        tokens = [u, v]
+        if rng.random() < 0.3:
+            tokens.append(rng.choice(TYPES))
+        if rng.random() < 0.03:
+            tokens = tokens[: rng.randrange(len(tokens))] or tokens + ["c", "d"]
+        lines.append(_tokens_line(rng, tokens))
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(lines) + (eol if rng.random() < 0.8 else "")
+
+
+def _packing_text(rng: random.Random) -> str:
+    tokens = ["0", "3", "12", "-1", "9#10", "#", "# c", "x", "1.5", "7#", "\xa0", "\t", "", " "]
+    lines = []
+    for _ in range(rng.randrange(5)):
+        lines.append(_tokens_line(rng, [rng.choice(tokens) for _ in range(rng.randrange(4))]))
+    return rng.choice(["\n", "\r\n"]).join(lines)
+
+
+def _triples(rng: random.Random, n: int) -> list:
+    ends = [0, 1, 2, n - 1, n, -1, 1.5, True, False, "1"]
+    types = ["c", "d", "c", "d", "x", None, ["c"], "cd", 1]
+    out = []
+    for _ in range(rng.randrange(7)):
+        if rng.random() < 0.8:
+            u, v = rng.randrange(max(n, 1)), rng.randrange(max(n, 1))
+        else:
+            u, v = rng.choice(ends), rng.choice(ends)
+        t = rng.choice(types) if rng.random() < 0.2 else rng.choice("cd")
+        out.append((u, v, t) if rng.random() < 0.97 else rng.choice([(u, v), (u, v, t, t)]))
+    return out
+
+
+def _shape(rng: random.Random, edges: list):
+    """The same edges as a list, tuple, iterator or generator."""
+    return rng.choice([list, tuple, iter, lambda e: (x for x in e)])(edges)
+
+
+def test_parse_graph_matches_reference():
+    rng = random.Random(SEED)
+    kinds = set()
+    for _ in range(CASES):
+        text = _graph_text(rng)
+        new = _outcome(parse_graph, text)
+        assert new == _outcome(ref.parse_graph, text), text
+        # the vertex count `solve` checks before anything is built
+        count = _outcome(lambda t: read_edge_lines(t)[0], text)
+        assert count == _outcome(lambda t: ref.read_edge_lines(t)[0], text), text
+        kinds.add(new[0].__name__)
+    # the texts reach both graph classes and both error classes
+    assert kinds == {"Graph", "TypedMultigraph", "GraphInputError", "ResourceLimitError"}
+
+
+def test_parse_packing_matches_reference():
+    rng = random.Random(SEED)
+    for _ in range(CASES):
+        text = _packing_text(rng)
+        assert _outcome(parse_packing, text) == _outcome(ref.parse_packing, text), text
+
+
+def test_typed_from_edges_matches_reference():
+    rng = random.Random(SEED)
+    kinds = set()
+    for _ in range(CASES):
+        n = rng.choice([-1, 0, 1, 3, 6, 6, 10**8])
+        edges = _triples(rng, n)
+        shape = rng.random()
+        new = _outcome(TypedMultigraph.from_edges, n, _shape(random.Random(shape), edges))
+        old = _outcome(ref.typed_from_edges, n, _shape(random.Random(shape), edges))
+        assert new == old, (n, edges)
+        kinds.add(new[0].__name__)
+    assert kinds == {"TypedMultigraph", "GraphInputError", "ResourceLimitError", "ValueError"}
