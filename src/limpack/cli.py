@@ -25,7 +25,6 @@ from .graph import (
     Graph,
     TypedMultigraph,
     _check_vertex_count,
-    build_graph,
     degree_stats,
     disjoint_union,
     parse_graph,
@@ -190,10 +189,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     _check_k(args, "solve")
-    n, edges = read_edge_lines(_read_text(args.file))
+    text = _read_text(args.file)
     # refuse a graph over the solvers' limit before building its n vertices
-    _check_size(n, DEFAULT_VERTEX_LIMIT)
-    g = _plain_graph(build_graph(n, edges), args.file, "solve")
+    _check_size(read_edge_lines(text)[0], DEFAULT_VERTEX_LIMIT)
+    g = _plain_graph(parse_graph(text), args.file, "solve")
     if args.dominating:
         if args.l is None:
             raise _UsageError("solve --dominating needs --l")

@@ -90,7 +90,7 @@ class TypedMultigraph:
     def from_edges(n: int, edges: Iterable[tuple[int, int, str]]) -> "TypedMultigraph":
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
-        edges = list(edges)
+        pairs: dict[str, list[tuple[int, int]]] = {"c": [], "d": []}
         for u, v, t in edges:
             _check_endpoint(u, n)
             _check_endpoint(v, n)
@@ -98,14 +98,13 @@ class TypedMultigraph:
                 raise GraphInputError(f"self-loop at vertex {u}")
             if t not in ("c", "d"):
                 raise GraphInputError(f"unknown edge type {t!r} (expected 'c' or 'd')")
-        c_adj, d_adj = (_adjacency(n, [(u, v) for u, v, s in edges if s == t]) for t in "cd")
-        return TypedMultigraph(n, c_adj, d_adj)
+            pairs[t].append((u, v))
+        return TypedMultigraph(n, _adjacency(n, pairs["c"]), _adjacency(n, pairs["d"]))
 
     @staticmethod
     def from_graph(g: Graph) -> "TypedMultigraph":
         """Promote a plain graph: every edge becomes a d-edge."""
-        empty = tuple(() for _ in range(g.n))
-        return TypedMultigraph(g.n, empty, g.adj)
+        return TypedMultigraph(g.n, ((),) * g.n, g.adj)
 
     def degree(self, v: int) -> int:
         _check_endpoint(v, self.n)
@@ -217,20 +216,24 @@ def parse_graph(text: str) -> Union[Graph, TypedMultigraph]:
     TypedMultigraph (untyped lines default to d).  Errors report the
     offending 1-based line number.
     """
-    return build_graph(*read_edge_lines(text))
+    n, pairs = read_edge_lines(text)
+    if not (pairs["c"] or pairs["d"]):
+        return Graph(n, _adjacency(n, pairs[None]))
+    return TypedMultigraph(n, _adjacency(n, pairs["c"]), _adjacency(n, pairs["d"] + pairs[None]))
 
 
-def read_edge_lines(text: str) -> tuple[int, list[tuple[int, int, Optional[str]]]]:
-    """The header's vertex count and the edge lines (u, v, type or None)
-    of the edge-list format, each line checked as `parse_graph` does; no
-    adjacency is built, so a caller can check the vertex count first."""
+def read_edge_lines(text: str) -> tuple[int, dict[Optional[str], list[tuple[int, int]]]]:
+    """The header's vertex count and the endpoint pairs of the edge lines,
+    listed under their type token (None for an untyped line), each line
+    checked as `parse_graph` does; no adjacency is built, so a caller can
+    check the vertex count first."""
     header: Optional[tuple[int, int]] = None
-    raw_edges: list[tuple[int, int, Optional[str]]] = []
+    pairs: dict[Optional[str], list[tuple[int, int]]] = {None: [], "c": [], "d": []}
+    count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if header is None:
             if len(parts) != 2:
                 raise GraphInputError(f"line {lineno}: expected header 'n m'")
@@ -243,7 +246,7 @@ def read_edge_lines(text: str) -> tuple[int, list[tuple[int, int, Optional[str]]
             header = (n, m)
             continue
         n, m = header
-        if len(raw_edges) >= m:
+        if count >= m:
             raise GraphInputError(f"line {lineno}: more than {m} edge lines")
         if len(parts) not in (2, 3):
             raise GraphInputError(f"line {lineno}: expected 'u v' or 'u v c|d'")
@@ -255,32 +258,17 @@ def read_edge_lines(text: str) -> tuple[int, list[tuple[int, int, Optional[str]]
             raise GraphInputError(f"line {lineno}: vertex index out of range (n={n})")
         if u == v:
             raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
-        t: Optional[str] = None
-        if len(parts) == 3:
-            if parts[2] not in ("c", "d"):
-                raise GraphInputError(f"line {lineno}: edge type must be 'c' or 'd'")
-            t = parts[2]
-        raw_edges.append((u, v, t))
+        t = parts[2] if len(parts) == 3 else None
+        if t not in (None, "c", "d"):
+            raise GraphInputError(f"line {lineno}: edge type must be 'c' or 'd'")
+        pairs[t].append((u, v))
+        count += 1
     if header is None:
         raise GraphInputError("line 1: missing header 'n m'")
     n, m = header
-    if len(raw_edges) != m:
-        raise GraphInputError(f"expected {m} edge lines, found {len(raw_edges)}")
-    return n, raw_edges
-
-
-def build_graph(
-    n: int, raw_edges: list[tuple[int, int, Optional[str]]]
-) -> Union[Graph, TypedMultigraph]:
-    """The graph of `read_edge_lines`' output: typed if any line is, with
-    untyped lines as d-edges.  The lines are already checked, so the
-    adjacency is built directly."""
-    if not any(t for _, _, t in raw_edges):
-        return Graph(n, _adjacency(n, [(u, v) for u, v, _ in raw_edges]))
-    c_adj, d_adj = (
-        _adjacency(n, [(u, v) for u, v, s in raw_edges if (s or "d") == t]) for t in "cd"
-    )
-    return TypedMultigraph(n, c_adj, d_adj)
+    if count != m:
+        raise GraphInputError(f"expected {m} edge lines, found {count}")
+    return n, pairs
 
 
 def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -309,10 +297,7 @@ def parse_packing(text: str) -> list[int]:
     """Whitespace-separated vertex indices; ``#`` starts a comment."""
     out: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for tok in line.split():
+        for tok in raw.split("#", 1)[0].split():
             try:
                 out.append(int(tok))
             except ValueError:
