@@ -4,7 +4,8 @@ Rational bounds are kept exact as fractions; bounds involving k-th roots
 or logarithms are 64-bit floats (the root is evaluated in double
 precision, relative error well under 1e-12 at desk scale).  A base too
 large for a float, as C(D,k)*(D+1) is at large D and k, has its root
-taken in log space instead.
+taken in log space instead; C(D,k) itself is built exactly only up to
+2^16 bits, and beyond that its logarithm is taken in floating point.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from typing import Optional, Union
 from .errors import GraphInputError, _check_positive
 
 Value = Union[Fraction, float]
+
+# C(D,k) is built exactly only up to this many bits, which takes at most
+# about 0.1 s; math.comb(10**6, 5 * 10**5), a million bits, takes 12 s.
+_EXACT_BITS = 2**16
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,9 @@ def bound_sheet(
 ) -> BoundSheet:
     """Evaluate every closed-form bound for the given degree data.
 
-    Binomial coefficients are computed exactly before any floating-point
-    conversion.  avg_degree defaults to min_degree (exact for regular
+    Binomial coefficients of at most 2^16 bits are computed exactly before
+    any floating-point conversion; larger ones go by their logarithm.
+    avg_degree defaults to min_degree (exact for regular
     graphs); pass the true average when it is known.
     """
     _check_positive("k", k)
@@ -120,12 +126,12 @@ def bound_sheet(
     random_lower = random_lower_alt = random_lower_simple = None
     if k <= max_degree:
         # C(D,k)*(D+1) == (k+1)*C(D+1,k+1), the base of the alternative form
-        base = math.comb(max_degree, k) * (max_degree + 1)
-        try:
+        base, root = _sampling_base(max_degree, k)
+        if base is None:  # base beyond a float: its root in log space
+            random_lower = random_lower_alt = n * k / (k + 1) * root
+        else:
             random_lower = n * k / ((k + 1) * base ** (1.0 / k))
             random_lower_alt = n * k / (k + 1) * (1.0 / base) ** (1.0 / k)
-        except OverflowError:  # base beyond a float: its root in log space
-            random_lower = random_lower_alt = n * k / (k + 1) * _power(base, -1.0 / k)
         try:
             random_lower_simple = n * k / (math.e * max_degree ** (1.0 + 1.0 / k))
         except OverflowError:
@@ -167,6 +173,33 @@ def bound_sheet(
         double_dom_upper_useful=double_dom_upper_useful,
         cubic_quarter_lower=cubic_quarter_lower,
         cubic_l3_lower=cubic_l3_lower,
+    )
+
+
+def _sampling_base(max_degree: int, k: int) -> tuple[Optional[int], float]:
+    """C(D,k)*(D+1) and its (-1/k)-th power, for 1 <= k <= D <= the float
+    maximum.  The int is None unless it fits in a float; beyond that the
+    power is taken through math.log of the exact int while C(D,k) has at
+    most _EXACT_BITS bits, and through _log_comb above that."""
+    j = min(k, max_degree - k)  # C(D,k) == C(D,D-k)
+    if _log_comb(max_degree, j) > _EXACT_BITS * math.log(2):
+        return None, math.exp(-(_log_comb(max_degree, j) + math.log(max_degree + 1)) / k)
+    base = math.comb(max_degree, k) * (max_degree + 1)
+    try:
+        return base, base ** (-1.0 / k)
+    except OverflowError:
+        return None, _power(base, -1.0 / k)
+
+
+def _log_comb(d: int, j: int) -> float:
+    """log C(d, j) in floating point, for 0 <= j <= d/2.  log(d!/(d-j)!)
+    comes from Stirling's series written with log1p, which keeps its
+    digits when d is far above j; a plain lgamma difference loses them
+    all there (lgamma(d+1) is about 7e302 at d = 10^300)."""
+    y = d - j
+    return (
+        j * math.log(d) - (y + 0.5) * math.log1p(-j / d) - j
+        + (1 / d - 1 / y) / 12 - math.lgamma(j + 1)
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GraphInputError, ResourceLimitError
-from .graph import Graph, _check_vertex_count
+from .graph import MAX_VERTICES, Graph, _check_vertex_count
 
 # q -> (characteristic p, extension degree, irreducible polynomial coeffs
 # low-to-high).  x^2+x+1 over GF(2), x^3+x+1 over GF(2), x^2+1 over GF(3).
@@ -90,6 +90,11 @@ def projective_points(q: int, k: int) -> list[ProjectivePoint]:
     if k < 1:
         raise GraphInputError(f"k must be at least 1, got {k}")
     if q >= 2:  # before GaloisField's primality test, which takes sqrt(q) steps
+        # log2 of the point count is at least `low`: past 2^16 bits, refuse
+        # from it rather than form q^(k+2) (over 1 GiB for q = 2, k = 10^10)
+        low = (k + 1) * (q.bit_length() - 1)
+        if low > 2**16:
+            raise ResourceLimitError(f"graph has over 2^{low} vertices (limit {MAX_VERTICES})")
         _check_vertex_count((q ** (k + 2) - 1) // (q - 1))
     GaloisField(q)  # validates q
     # the leading 1 moves from the last position to the first, so each

@@ -36,10 +36,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .bounds import _power
+from .bounds import _sampling_base
 from .errors import GraphInputError, _check_positive
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
@@ -92,6 +93,8 @@ def lll_parameters(max_degree: int, k: int) -> LLLParameters:
     if max_degree < 2:
         raise GraphInputError(f"max_degree must be at least 2, got {max_degree}")
     _check_positive("k", k)
+    if k * max_degree > sys.float_info.max:
+        raise GraphInputError(f"k*max_degree must be at most {sys.float_info.max!r}")
     loglog = math.log(math.log(max_degree))
     raws = (
         math.sqrt(5.0 / loglog) if loglog > 0 else math.inf,  # undefined for D <= e
@@ -112,11 +115,9 @@ def auto_sample_rate(max_degree: int, k: int) -> float:
     _check_positive("k", k)
     if k > max_degree:
         return 1.0
-    base = math.comb(max_degree, k) * (max_degree + 1)
-    try:
-        return base ** (-1.0 / k)
-    except OverflowError:  # base beyond a float: its root in log space
-        return _power(base, -1.0 / k)
+    if max_degree > sys.float_info.max:
+        raise GraphInputError(f"max_degree must be at most {sys.float_info.max!r}")
+    return _sampling_base(max_degree, k)[1]
 
 
 def sample_and_repair(

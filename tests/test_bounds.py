@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,45 @@ def test_log_space_root_meets_float_root():
     expected = 100 * k / (k + 1) * log_root
     assert bound_sheet(100, d, 1, k).random_lower == pytest.approx(expected, rel=1e-12)
     assert auto_sample_rate(d, k) == pytest.approx(log_root, rel=1e-12)
+
+
+# C(D,k) of 2^16 to 2^18 bits: beyond _EXACT_BITS, yet still cheap to build here
+LOG_SPACE_GRID = [(10**5, 20_000), (10**5, 50_000), (10**7, 6_000), (10**7, 20_000),
+                  (10**300, 70), (10**300, 250)]
+
+
+@pytest.mark.parametrize("d,k", LOG_SPACE_GRID)
+def test_log_space_binomial_matches_exact(d, k):
+    """Above 2^16 bits C(D,k) is not built; the root from its floating-point
+    logarithm agrees with the exact integer's."""
+    exact = math.comb(d, k)
+    assert 2**16 < exact.bit_length() <= 2**18
+    root = math.exp(-math.log(exact * (d + 1)) / k)
+    assert auto_sample_rate(d, k) == pytest.approx(root, rel=1e-9)
+    sheet = bound_sheet(1000, d, 1, k)
+    assert sheet.random_lower == pytest.approx(1000 * k / (k + 1) * root, rel=1e-9)
+    assert sheet.random_lower_alt == sheet.random_lower
+
+
+@pytest.mark.parametrize("d,k", [(10**4, 200), (10**5, 15_000), (10**300, 60)])
+def test_exact_binomial_up_to_two_to_the_sixteen_bits(d, k):
+    """Up to 2^16 bits C(D,k) is built, and the root is the one taken from
+    the exact integer, bit for bit."""
+    base = math.comb(d, k) * (d + 1)
+    assert math.comb(d, k).bit_length() <= 2**16 and base > sys.float_info.max
+    root = math.exp((-1.0 / k) * math.log(base))
+    assert auto_sample_rate(d, k) == root
+    assert bound_sheet(1000, d, 1, k).random_lower == 1000 * k / (k + 1) * root
+
+
+@pytest.mark.parametrize("d,k", [(10**7, 5 * 10**6), (10**6, 5 * 10**5), (10**300, 10**5)])
+def test_large_binomial_is_fast(d, k):
+    """math.comb(10**6, 5 * 10**5) alone takes over 10 s."""
+    start = time.perf_counter()
+    sheet = bound_sheet(10**7, d, 1, k)
+    rate = auto_sample_rate(d, k)
+    assert time.perf_counter() - start < 1.0
+    assert rate == pytest.approx(sheet.random_lower * (k + 1) / (10**7 * k), rel=1e-12)
 
 
 def test_simple_form_beyond_float_range():

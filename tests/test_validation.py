@@ -87,6 +87,13 @@ CASES = [
      GraphInputError, "p must lie in (0, 1], got 1.5"),
     ("lll_parameters-degree", lambda: lll_parameters(1, 1), GraphInputError,
      "max_degree must be at least 2, got 1"),
+    # products and degrees beyond the float range
+    ("lll_parameters-huge-degree", lambda: lll_parameters(10**309, 1), GraphInputError,
+     "k*max_degree must be at most 1.7976931348623157e+308"),
+    ("lll_parameters-huge-product", lambda: lll_parameters(10**200, 10**200), GraphInputError,
+     "k*max_degree must be at most 1.7976931348623157e+308"),
+    ("auto_rate-huge-degree", lambda: auto_sample_rate(10**309, 2), GraphInputError,
+     "max_degree must be at most 1.7976931348623157e+308"),
     ("sample_repair-p", lambda: sample_and_repair(C5, 1, p=1.5), GraphInputError,
      "p must lie in [0, 1], got 1.5"),
     # members of a vertex set
@@ -164,6 +171,9 @@ CASES = [
      "graph has over 2^20001 vertices (limit 10000000)"),
     ("projective-big-q", lambda: gen_projective(10**18 + 3, 1), ResourceLimitError,
      "graph has over 2^119 vertices (limit 10000000)"),
+    # past 2^16 bits the count goes by (k+1)*(bits of q - 1), with no q^(k+2) formed
+    ("projective-beyond-bits", lambda: gen_projective(3, 10**10), ResourceLimitError,
+     "graph has over 2^10000000001 vertices (limit 10000000)"),
     ("union-limit", lambda: disjoint_union(*[C5] * 2_000_001), ResourceLimitError,
      "graph has 10000005 vertices (limit 10000000)"),
     # the oracle
