@@ -19,6 +19,7 @@ import resource
 import subprocess
 import sys
 
+import pytest
 from corpus import random_typed_multigraph
 
 import limpack
@@ -96,7 +97,7 @@ def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
 
 
-def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+def _run_capped(argv: list[str], timeout: float = 60) -> subprocess.CompletedProcess:
     """Run the CLI in a child under the address-space cap."""
     # -S skips the site hooks, which cost a third of each child's start-up;
     # the child imports limpack from where this process found it
@@ -106,7 +107,7 @@ def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
         capture_output=True,
         env=env,
         preexec_fn=_cap_memory,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -155,3 +156,24 @@ def test_numeric_flags_exit_cleanly(tmp_path):
             assert b"Traceback" not in out.stderr, context
             seen.add(out.returncode)
     assert {0, 3} <= seen
+
+
+# Sizes where an exact binomial or a projective point count takes minutes
+# or gigabytes: C(10^7, 5*10^6), C(10^300, 10^5), 2^(10^10).
+STALLS = [
+    (["bounds", "--n", "10000000", "--maxdeg", "10000000", "--mindeg", "1", "--k", "5000000"], 0),
+    (["bounds", "--n", "100000", "--maxdeg", str(10**300), "--mindeg", "1", "--k", "100000"], 0),
+    (["gen", "--family", "projective", "--q", "2", "--k", "10000000000", "--out", "{out}"], 3),
+]
+
+
+@pytest.mark.parametrize("argv,code", STALLS, ids=["bounds-1e7", "bounds-1e300", "projective"])
+def test_large_numbers_finish_in_time(tmp_path, argv, code):
+    argv = [a.format(out=tmp_path / "g.graph") for a in argv]
+    out = _run_capped(argv, timeout=20)
+    assert out.returncode == code, out.stderr
+    assert b"Traceback" not in out.stderr
+    if code == 3:
+        assert out.stderr.decode().splitlines() == [
+            "error: graph has over 2^10000000001 vertices (limit 10000000)"
+        ]
