@@ -106,8 +106,8 @@ def bound_sheet(
 
     Binomial coefficients of at most 2^16 bits are computed exactly before
     any floating-point conversion; larger ones go by their logarithm.
-    avg_degree defaults to min_degree (exact for regular
-    graphs); pass the true average when it is known.
+    avg_degree defaults to min_degree (exact for regular graphs); pass the
+    true average when it is known.
     """
     _check_positive("k", k)
     if n < 0:
@@ -181,9 +181,9 @@ def _sampling_base(max_degree: int, k: int) -> tuple[Optional[int], float]:
     maximum.  The int is None unless it fits in a float; beyond that the
     power is taken through math.log of the exact int while C(D,k) has at
     most _EXACT_BITS bits, and through _log_comb above that."""
-    j = min(k, max_degree - k)  # C(D,k) == C(D,D-k)
-    if _log_comb(max_degree, j) > _EXACT_BITS * math.log(2):
-        return None, math.exp(-(_log_comb(max_degree, j) + math.log(max_degree + 1)) / k)
+    log_comb = _log_comb(max_degree, min(k, max_degree - k))  # C(D,k) == C(D,D-k)
+    if log_comb > _EXACT_BITS * math.log(2):
+        return None, math.exp(-(log_comb + math.log(max_degree + 1)) / k)
     base = math.comb(max_degree, k) * (max_degree + 1)
     try:
         return base, base ** (-1.0 / k)

@@ -6,14 +6,17 @@ graph; ``TypedMultigraph`` carries two edge types, ``c`` (colour) and
 each type at once.  Both structures are frozen after construction, so
 they are safe to share across threads.
 
-File format (UTF-8 text): optional ``#`` comment lines, then a header
-``n m``, then exactly m edge lines ``u v``, ``u v c`` or ``u v d``.
-A file with no type tokens parses to a ``Graph``; any typed line makes it
-a ``TypedMultigraph`` whose untyped lines default to type d.  No graph
-has more than ``MAX_VERTICES`` vertices.
+File format (UTF-8 text): a header ``n m``, then exactly m edge lines
+``u v``, ``u v c`` or ``u v d``; blank lines and lines whose first token
+starts with ``#`` are skipped.  A file with no type tokens parses to a
+``Graph``; any typed line makes it a ``TypedMultigraph`` whose untyped
+lines default to type d.  No graph has more than ``MAX_VERTICES``
+vertices.
 
-Every adjacency, plain or of one edge type, is built by ``_adjacency``
-from checked vertex pairs, after the vertex count is checked.
+``read_edge_lines`` checks each line once and lists its endpoint pair
+under its type token; every adjacency, plain or of one edge type, is
+built by ``_adjacency`` from such checked pairs, after the vertex count
+is checked.
 """
 
 from __future__ import annotations
