@@ -6,12 +6,15 @@ infeasible/failed solve, 2 usage error, 3 input error, 4 internal error
 its reader (as in ``limpack bench | head``).  All randomness
 takes an explicit --seed (default 0, never wall-clock), so identical
 invocations produce byte-identical reports; `bench --no-timing` drops
-the only non-deterministic column.
+the only non-deterministic column.  `main` builds its parser on the first
+call and reuses it for the rest of the process; each call parses into a
+fresh namespace, so in-process calls are independent of one another.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -39,6 +42,7 @@ from .solver import DEFAULT_VERTEX_LIMIT, _check_size, max_k_limited, min_tuple_
 from .verify import verify_k_limited, verify_tuple_dominating, verify_typed_two_limited
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limpack",
