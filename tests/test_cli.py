@@ -1,6 +1,11 @@
+import contextlib
+import io
+import math
 import os
+import shutil
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -520,6 +525,22 @@ def test_bench_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_bench_timing_column(capsys):
+    """Without --no-timing each row ends in one more column, time_ms, a
+    finite float >= 0; without that column the table is the --no-timing
+    table byte for byte."""
+    code, timed, _ = run_cli(capsys, "bench", "--suite", "paper")
+    assert code == 0
+    code, untimed, _ = run_cli(capsys, "bench", "--suite", "paper", "--no-timing")
+    assert code == 0
+    timed_rows = timed.splitlines()
+    assert timed_rows[0].endswith(" time_ms")
+    for row in timed_rows[1:]:
+        elapsed_ms = float(row.rsplit(" ", 1)[1])
+        assert math.isfinite(elapsed_ms) and elapsed_ms >= 0
+    assert "".join(row.rsplit(" ", 1)[0] + "\n" for row in timed_rows) == untimed
+
+
 def test_construct_byte_identical(tmp_path, capsys):
     gpath = write_graph(tmp_path, "g.graph", gen_named("petersen"))
     outs = set()
@@ -595,3 +616,130 @@ def test_bounds_beyond_float_range_exits_three(capsys):
     code, stdout, err = run_cli(capsys, *argv)
     assert (code, stdout) == (3, "")
     assert err == "error: n*k and max_degree must be at most 1.7976931348623157e+308\n"
+
+
+_COUNT_PARSER_BUILDS = textwrap.dedent(
+    """
+    import argparse, contextlib, io, os, sys
+
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        global built
+        built += 1
+        init(self, *args, **kwargs)
+
+    argparse.ArgumentParser.__init__ = counting_init
+    import limpack.cli
+
+    print(built)
+    os.chdir(sys.argv[1])
+    with open("w.txt", "w") as fh:
+        fh.write("0\\n")
+    calls = [
+        ["gen", "--family", "random-regular", "--n", "12", "--r", "3", "--out", "g.graph"],
+        ["gen", "--family", "petersen", "--out", "p.graph"],
+        ["solve", "--k", "2", "g.graph"],
+        ["solve", "--dominating", "--l", "1", "p.graph"],
+        ["construct", "--method", "cubic2", "--k", "2", "g.graph"],
+        ["construct", "--method", "greedy", "--k", "1", "p.graph"],
+        ["verify", "--k", "2", "--packing", "w.txt", "g.graph"],
+        ["bounds", "--k", "2", "g.graph"],
+        ["bounds", "--k", "1", "--n", "10", "--maxdeg", "3", "--mindeg", "3"],
+        ["bench", "--suite", "nope"],
+        ["--help"],
+        ["bench", "--suite", "paper", "--no-timing"],
+    ]
+    codes = []
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(limpack.cli.main(argv))
+    print(built)
+    print(*codes)
+    """
+)
+
+
+def test_parser_built_once_per_process(tmp_path):
+    """Importing the CLI builds no parser; the first main call builds the
+    tree (one top-level parser and six subparsers) and later calls reuse
+    it.  Counted in a child process, so test order cannot matter."""
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSER_BUILDS, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["0", "7", "0 0 0 0 0 0 0 0 0 2 0 0"]
+
+
+_ISOLATION_CASES = {
+    "trace-then-none": [
+        ["construct", "--method", "cubic2", "--k", "2", "--trace", "t.txt", "g.graph"],
+        ["construct", "--method", "cubic2", "--k", "2", "g.graph"],
+    ],
+    "seed-then-default": [
+        ["construct", "--method", "sample-repair", "--k", "1", "--seed", "11", "g.graph"],
+        ["construct", "--method", "sample-repair", "--k", "1", "g.graph"],
+    ],
+    "dominating-then-packing": [
+        ["verify", "--dominating", "--l", "1", "--packing", "p.txt", "g.graph"],
+        ["verify", "--k", "2", "--packing", "p.txt", "g.graph"],
+    ],
+    "copies-then-one": [
+        ["gen", "--family", "h6", "--copies", "3", "--out", "h.graph"],
+        ["gen", "--family", "h6", "--out", "h.graph"],
+    ],
+    "usage-error-then-success": [
+        ["construct", "--k", "2", "g.graph"],
+        ["verify", "--packing", "p.txt", "g.graph"],
+        ["bounds", "--k", "1", "g.graph"],
+    ],
+    "help-then-command": [
+        ["--help"],
+        ["verify", "--help"],
+        ["solve", "--k", "1", "g.graph"],
+    ],
+}
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("calls", _ISOLATION_CASES.values(), ids=_ISOLATION_CASES)
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch, calls):
+    """Back-to-back main calls in one process each give the code, stdout,
+    stderr and written files of the same call in a fresh process: nothing
+    one call sets carries into the next, and usage and help text go to
+    the streams in place at the time of the call.  Each call starts from
+    its own copy of the input files."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the width the child sees
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "g.graph").write_text(serialize_graph(gen_random_regular(30, 3, seed=5)))
+    (inputs / "p.txt").write_text("0 5 10 15 20 25\n")
+    # the parser exists, built under streams other than capsys's
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["--help"])
+    in_process = []
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        shutil.copytree(inputs, here)
+        shutil.copytree(inputs, fresh)
+        monkeypatch.chdir(here)
+        result = run_cli(capsys, *argv)
+        child = subprocess.run(
+            [sys.executable, "-m", "limpack.cli", *argv],
+            cwd=fresh,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result == (child.returncode, child.stdout, child.stderr), argv
+        assert _files(here) == _files(fresh), argv
+        in_process.append((result, _files(here)))
+    # the first call's outputs differ from the second's, so a leaked option would show
+    assert in_process[0] != in_process[1]
