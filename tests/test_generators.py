@@ -212,6 +212,19 @@ PROJECTIVE_SHA256 = [
     (7, 2, "9881a0242642cecfeee9562c7e3affbc09d744122f88389fb98694c911637e6a"),
     (8, 2, "2997b0a882aed4a72270492705f61ecada05a4961eb7fd66cb5c2ba0cac61a67"),
     (9, 2, "a73628836502c0782c275f2d3de8825ea1e18fb81fa079f05b40854fb44833b5"),
+    (29, 1, "4f912e80d56dcc4bb7fc4e77fdb2f3d6485e6b57971c8ae744d94270b3300441"),
+    (31, 1, "849976236774a804ceb245afab1ad33d2210a9c49bee74e989c2d71084322f7c"),
+    (37, 1, "54fdfb708c63c5d620cf554550f27a5ce1ffed1e79492d2caf8b672ff97e42e0"),
+    (11, 2, "f49d2c698bb4ef443d000ffc5d20715fe686800052398ff0e443031430292fb5"),
+    (13, 2, "2cbd8edf6ea5b7d83405dce4d7abb2a4db021fd062ab4db8e55e6ad2205242b0"),
+    (2, 3, "377183d55b94d317af60503977db0e835564b7529267a523acc52469dc25da44"),
+    (3, 3, "48550ddadf29953532472a4f08da217feeacba1b89acc8adfab5c813ea8743bf"),
+    (4, 3, "27d8f914dd8c604491779ce19ca24f9750669a47dd749f2693a67fb454621519"),
+    (5, 3, "c2d4311b6ac5aa9f6553b420847b2e4c443933c1621408f737e36ebdd4d2f273"),
+    (2, 4, "325ba2f4e0994a31cfd5d17d48be7cfb223170a1844b9e377102c3d69af8e09c"),
+    (3, 4, "4a0d8a2fa44d64d88748000b5d13c3db4c14a3dc0d6957749b65900eccdbf4f3"),
+    (2, 5, "9e9222f7a4735a6c8e3c9bb7115e55c9d2cdba7d481c4ec3af62ef4e209dd00e"),
+    (2, 6, "74b1952a2f2ab11f1d28139e7f8e38abbcf8c6de2828e72e98ecf6ec5cf1895e"),
 ]
 
 
