@@ -27,7 +27,6 @@ from .errors import (
 )
 from .generators import (
     GaloisField,
-    ProjectivePoint,
     gen_cycle,
     gen_named,
     gen_projective,
@@ -93,7 +92,6 @@ __all__ = [
     "PreconditionError",
     "ResourceLimitError",
     "GaloisField",
-    "ProjectivePoint",
     "gen_cycle",
     "gen_named",
     "gen_projective",

@@ -11,7 +11,6 @@ product vanishes.  Each generator refuses a graph over
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import GraphInputError, ResourceLimitError
@@ -69,23 +68,12 @@ class GaloisField:
         return total
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Canonical representative of a projective equivalence class.
-
-    Normalized so the first nonzero coordinate is 1; two vectors represent
-    the same point exactly when their normalizations are equal.
-    """
-
-    coords: tuple[int, ...]
-
-
-def projective_points(q: int, k: int) -> list[ProjectivePoint]:
+def projective_points(q: int, k: int) -> list[tuple[int, ...]]:
     """All points of the (k+1)-dimensional projective space over GF(q).
 
-    Count is (q^(k+2)-1)/(q-1); points are ordered lexicographically on
-    their canonical coordinate vectors, which fixes the vertex numbering
-    of gen_projective.
+    Each point is its coordinate tuple whose first nonzero entry is 1.
+    Count is (q^(k+2)-1)/(q-1); points are in lexicographic order, which
+    fixes the vertex numbering of gen_projective.
     """
     if k < 1:
         raise GraphInputError(f"k must be at least 1, got {k}")
@@ -100,7 +88,7 @@ def projective_points(q: int, k: int) -> list[ProjectivePoint]:
     # the leading 1 moves from the last position to the first, so each
     # block of points follows every point with more leading zeros
     return [
-        ProjectivePoint((0,) * i + (1,) + suffix)
+        (0,) * i + (1,) + suffix
         for i in reversed(range(k + 2))
         for suffix in product(range(q), repeat=k + 1 - i)
     ]
@@ -111,17 +99,25 @@ def gen_projective(q: int, k: int) -> Graph:
 
     Distinct points are adjacent when their inner product is 0 in GF(q);
     self-orthogonal points do not get self-loops, so degrees are H or H-1
-    with H = (q^(k+1)-1)/(q-1).
+    with H = (q^(k+1)-1)/(q-1).  With s the last nonzero coordinate of p,
+    each point y on k+1 coordinates gives p one orthogonal x: y with
+    x_s = -(p'.y)/p_s inserted at s, p' being p without p_s.  x is
+    normalized (y is zero before s only when p'.y = 0) and distinct y give
+    distinct x, so a vertex costs H dot products, not n.
     """
     pts = projective_points(q, k)
     field = GaloisField(q)
-    n = len(pts)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if field.dot(pts[i].coords, pts[j].coords) == 0:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    index = {p: i for i, p in enumerate(pts)}
+    ys = [p[1:] for p in pts[: len(pts) // q]]  # the H points whose first coordinate is 0
+    minus_one = next(a for a in range(q) if field.add(a, 1) == 0)
+    adj = []
+    for i, p in enumerate(pts):
+        s = max(j for j, c in enumerate(p) if c)
+        rest = p[:s] + p[s + 1 :]
+        scale = field.mul(minus_one, field.inv(p[s]))
+        nbrs = [index[y[:s] + (field.mul(scale, field.dot(rest, y)),) + y[s:]] for y in ys]
+        adj.append(tuple(sorted(j for j in nbrs if j != i)))
+    return Graph(len(pts), tuple(adj))
 
 
 def gen_cycle(n: int) -> Graph:
