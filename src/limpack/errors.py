@@ -1,4 +1,4 @@
-"""Exception types shared by all limpack modules, and their one limit check.
+"""Exception types shared by all limpack modules, and their argument checks.
 
 The CLI maps these onto exit codes: input and precondition problems are
 exit 3, resource limits exit 3, infeasibility exit 1, and a broken
@@ -31,10 +31,16 @@ class InternalError(LimpackError, RuntimeError):
     """An internal invariant of an algorithm does not hold: a bug in limpack."""
 
 
-def _check_positive(name: str, value: int) -> None:
-    """Every limit k or l of a packing or domination problem is an int (not
-    a bool) of at least 1."""
+def _check_int(name: str, value: int) -> None:
+    """Every count a caller passes (a limit k or l, a vertex count, a field
+    order, a degree, an attempt budget) is an exact int, not a bool."""
     if type(value) is not int:
         raise GraphInputError(f"{name} must be an int, got {value!r}")
+
+
+def _check_positive(name: str, value: int) -> None:
+    """Every limit k or l of a packing or domination problem is an int of
+    at least 1."""
+    _check_int(name, value)
     if value < 1:
         raise GraphInputError(f"{name} must be positive, got {value}")

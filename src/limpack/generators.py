@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .errors import GraphInputError, ResourceLimitError
+from .errors import GraphInputError, ResourceLimitError, _check_int
 from .graph import MAX_VERTICES, Graph, _check_vertex_count
 
 # q -> (characteristic p, extension degree, irreducible polynomial coeffs
@@ -75,6 +75,8 @@ def projective_points(q: int, k: int) -> list[tuple[int, ...]]:
     Count is (q^(k+2)-1)/(q-1); points are in lexicographic order, which
     fixes the vertex numbering of gen_projective.
     """
+    _check_int("q", q)
+    _check_int("k", k)
     if k < 1:
         raise GraphInputError(f"k must be at least 1, got {k}")
     if q >= 2:  # before GaloisField's primality test, which takes sqrt(q) steps
@@ -122,6 +124,7 @@ def gen_projective(q: int, k: int) -> Graph:
 
 def gen_cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
+    _check_int("n", n)
     if n < 3:
         raise GraphInputError(f"a cycle needs at least 3 vertices, got {n}")
     _check_vertex_count(n)
@@ -155,6 +158,9 @@ def gen_random_regular(n: int, r: int, seed: int, max_attempts: int = 1000) -> G
     attempt.  Deterministic for a fixed seed.  An attempt takes
     O(n r^2 log n) time.
     """
+    _check_int("n", n)
+    _check_int("r", r)
+    _check_int("max_attempts", max_attempts)
     if n < 0 or r < 0:
         raise GraphInputError(f"n and r must be nonnegative, got n={n}, r={r}")
     if n * r % 2 != 0:

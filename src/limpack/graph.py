@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, NamedTuple, Optional, Union
 
-from .errors import GraphInputError, ResourceLimitError
+from .errors import GraphInputError, ResourceLimitError, _check_int
 
 # The most vertices of any graph limpack builds, checked before the adjacency
 # is allocated: building costs about 250 bytes per vertex even with no edges.
@@ -45,6 +45,7 @@ class Graph:
         Raises GraphInputError for negative n, out-of-range endpoints, or
         self-loops, and ResourceLimitError for n over MAX_VERTICES.
         """
+        _check_int("n", n)
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
         edges = list(edges)
@@ -91,6 +92,7 @@ class TypedMultigraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int, str]]) -> "TypedMultigraph":
+        _check_int("n", n)
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
         pairs: dict[str, list[tuple[int, int]]] = {"c": [], "d": []}
