@@ -27,6 +27,7 @@ from limpack import (
     gen_named,
     gen_projective,
     gen_random_regular,
+    greedy_packing,
     max_k_limited,
     max_typed_two_limited,
     min_tuple_dominating,
@@ -149,6 +150,45 @@ def test_criterion_05_duality():
                 assert packing + dom == n
 
 
+PROJECTIVE_GRID = {
+    1: [2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47],
+    2: [2, 3, 4, 5, 7, 8, 9, 11],
+}
+
+
+def _criterion6_table() -> None:
+    """G_{q,k} keeps k / (best sheet lower bound) bounded as Delta grows.
+
+    Any k+1 points of G_{q,k} have a common orthogonal point, so its
+    largest k-limited packing is k; every constructed packing verifies
+    and has at most k members, and greedy reaches k.
+    """
+    print("q k n Delta best_lower ratio")
+    for k, qs in PROJECTIVE_GRID.items():
+        previous = math.inf
+        for q in qs:
+            g = gen_projective(q, k)
+            h = (q ** (k + 1) - 1) // (q - 1)
+            stats = degree_stats(g)
+            assert {len(nbrs) for nbrs in g.adj} <= {h, h - 1}
+            packings = {
+                "greedy": greedy_packing(g, k),
+                "sample-repair": sample_and_repair(g, k, seed=0).packing.vertices,
+                "lll": lll_resample(g, k, seed=0).packing.vertices,
+            }
+            for method, chosen in packings.items():
+                assert verify_k_limited(g, chosen, k).valid, (q, k, method)
+                assert len(chosen) <= k, (q, k, method)
+            assert len(packings["greedy"]) == k
+            sheet = bound_sheet(g.n, stats.max_degree, stats.min_degree, k)
+            best = max(float(low) for low in sheet.lower_bounds())
+            ratio = k / best
+            print(f"{q} {k} {g.n} {stats.max_degree} {best:.4f} {ratio:.4f}")
+            assert ratio <= 3
+            assert ratio <= previous + TOL, (q, k)
+            previous = ratio
+
+
 def test_criterion_06_projective_extremality():
     with criterion(6, "projective extremality", 60.0):
         from itertools import combinations
@@ -162,6 +202,7 @@ def test_criterion_06_projective_extremality():
                     *(closed_neighborhood(g, v) for v in group)
                 )
                 assert covered
+        _criterion6_table()
 
 
 def _criterion7_report() -> tuple[str, bool]:

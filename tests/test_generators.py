@@ -1,8 +1,13 @@
 import hashlib
+import os
+import resource
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
 
+import limpack
 from limpack import (
     GaloisField,
     Graph,
@@ -232,3 +237,29 @@ PROJECTIVE_SHA256 = [
 def test_projective_bytes_pinned(q, k, digest):
     text = serialize_graph(gen_projective(q, k))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# recorded from the pair-loop generator, which took 72 s for this graph
+PROJECTIVE_101_SHA256 = "32de524c58c7ce5f52012aef50210d43c84d33110e6a6545e3a53f2cf4405b77"
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_projective_q101_cli_within_30s(tmp_path):
+    """`gen --family projective --q 101 --k 1` (n = 10 303) writes the
+    pinned bytes within 30 s, in a child under a 1 GiB address-space cap."""
+    out = tmp_path / "proj.graph"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(limpack.__file__)))
+    argv = ["gen", "--family", "projective", "--q", "101", "--k", "1", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "limpack.cli", *argv],
+        capture_output=True,
+        env=env,
+        preexec_fn=_cap_memory,
+        timeout=30,
+    )
+    assert done.returncode == 0
+    assert done.stderr == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROJECTIVE_101_SHA256
