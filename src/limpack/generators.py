@@ -3,9 +3,11 @@
 Cycles, the chorded 6-cycle H6 (isomorphic to K_{3,3}), the Petersen
 graph, K4, seeded random regular graphs via the pairing model, and the
 projective orthogonality graphs over GF(q): vertices are the points of a
-(k+1)-dimensional projective space over GF(q), joined when their inner
-product vanishes.  Each generator refuses a graph over
-``graph.MAX_VERTICES`` vertices before it lists any edge or point.
+(k+1)-dimensional projective space over GF(q), as normalized coordinate
+tuples, joined when their inner product vanishes; a point's neighbours
+are the solutions of one linear equation, listed directly.  Each
+generator refuses a graph over ``graph.MAX_VERTICES`` vertices before it
+lists any edge or point.
 """
 
 from __future__ import annotations

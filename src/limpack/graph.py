@@ -42,7 +42,7 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list, deduplicating repeated edges.
 
-        Raises GraphInputError for negative n, out-of-range endpoints, or
+        Raises GraphInputError for a non-int or negative n, bad endpoints, or
         self-loops, and ResourceLimitError for n over MAX_VERTICES.
         """
         _check_int("n", n)
