@@ -5,6 +5,7 @@ from limpack import (
     GraphInputError,
     InfeasibleError,
     ResourceLimitError,
+    SolveResult,
     TypedMultigraph,
     bound_sheet,
     degree_stats,
@@ -179,6 +180,7 @@ def test_empty_graph():
     g = Graph.from_edges(0, [])
     assert max_k_limited(g, 1).optimum == 0
     assert min_tuple_dominating(g, 1).optimum == 0
+    assert min_tuple_dominating(g, 5) == SolveResult(0, (), 1)
 
 
 def test_typed_solver_matches_brute_force():

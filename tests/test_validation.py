@@ -40,6 +40,7 @@ from limpack import (
 
 C5 = gen_cycle(5)
 EMPTY = Graph.from_edges(0, [])
+STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 
 CASES = [
     # k and l must be positive
@@ -200,6 +201,13 @@ CASES = [
      "graph has over 2^10000000001 vertices (limit 10000000)"),
     ("union-limit", lambda: disjoint_union(*[C5] * 2_000_001), ResourceLimitError,
      "graph has 10000005 vertices (limit 10000000)"),
+    # domination: the vertex limit comes before feasibility
+    ("min_tuple-infeasible", lambda: min_tuple_dominating(STAR, 3), InfeasibleError,
+     "no 3-tuple dominating set exists: some vertex has only 2 vertices in its closed"
+     " neighborhood"),
+    ("min_tuple-limit-first", lambda: min_tuple_dominating(Graph.from_edges(65, []), 2),
+     ResourceLimitError, "graph has 65 vertices (limit 64); use the randomized constructors"
+     " (sample_and_repair, lll_resample) for large instances"),
     # the oracle
     ("oracle-no-l", lambda: enumerate_oracle(C5, mode="domination"), GraphInputError,
      "domination mode needs a positive l"),
