@@ -1,18 +1,19 @@
 """Exact solvers for packing and domination numbers, plus a brute-force oracle.
 
-One branch-and-bound engine, ``_maximize``, finds the largest vertex set
-with at most cap(c) members in each constraint c.  A k-limited packing
-has the constraint N[v] with cap k for every vertex v (a typed multigraph
-adds a cap-1 constraint per c-edge).  Domination is the same search on
-the complement: D is l-tuple dominating exactly when Y = V - D has at
-most |N[v]| - l members in every N[v], so the smallest D is V minus the
-largest such Y.
+One branch-and-bound engine, ``_maximize``, serves every exact solve.
+It finds the largest vertex set with at most 1 member on each c-edge and
+at most caps[v] members in each closed d-neighborhood N[v].  A k-limited
+packing has no c-edges and cap k everywhere (a typed multigraph, cap 2).
+Domination is the same search on the complement: D is l-tuple
+dominating exactly when Y = V - D has at most |N[v]| - l members in
+every N[v], so the smallest D is V minus the largest such Y.
 
-The engine branches over a fixed vertex order (descending degree, ties by
-index) and keeps only strict improvements, so the witness is the first
-optimal set in branching order.  A packing tries "include" first.
-Domination tries "exclude from Y" first, which is "include in D" first,
-so its witness is the lexicographically first smallest D in that order.
+The engine branches over a fixed vertex order, most constraints first
+(descending degree, ties by index), and keeps only strict improvements,
+so the witness is the first optimal set in branching order.  A packing
+tries "include" first.  Domination tries "exclude from Y" first, which
+is "include in D" first, so its witness is the lexicographically first
+smallest D in that order.
 
 At each node, call the undecided vertices that can still be selected
 "live".  Every constraint c can take at most min(cap_c, live_c) more
@@ -53,10 +54,10 @@ independent yardstick the rest of the package is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_positive
-from .graph import Graph, TypedMultigraph, degree_stats, serialize_packing
+from .graph import Graph, TypedMultigraph, serialize_packing
 
 DEFAULT_VERTEX_LIMIT = 64
 ORACLE_VERTEX_LIMIT = 20
@@ -79,7 +80,7 @@ class SolveResult:
 def max_k_limited(g: Graph, k: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SolveResult:
     """Largest k-limited packing of g, with a verifying witness."""
     _check_positive("k", k)
-    return _max_limited(TypedMultigraph.from_graph(g), k, vertex_limit)
+    return _maximize((), g.adj, [k] * g.n, vertex_limit)
 
 
 def max_typed_two_limited(
@@ -90,7 +91,7 @@ def max_typed_two_limited(
     Same engine as max_k_limited: each c-edge is an at-most-1 constraint
     and each closed d-neighborhood an at-most-2 constraint.
     """
-    return _max_limited(tm, 2, vertex_limit)
+    return _maximize(tm.c_adj, tm.d_adj, [2] * tm.n, vertex_limit)
 
 
 def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SolveResult:
@@ -101,16 +102,13 @@ def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LI
     """
     _check_positive("l", l)
     _check_size(g.n, vertex_limit)
-    if g.n > 0:
-        stats = degree_stats(g)
-        if l > stats.min_degree + 1:
-            raise InfeasibleError(
-                f"no {l}-tuple dominating set exists: some vertex has only"
-                f" {stats.min_degree + 1} vertices in its closed neighborhood"
-            )
-    closed = [[v, *nbrs] for v, nbrs in enumerate(g.adj)]
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-    kept = _maximize(g.n, closed, [len(c) - l for c in closed], order, exclude_first=True)
+    caps = [len(a) + 1 - l for a in g.adj]
+    if min(caps, default=0) < 0:
+        raise InfeasibleError(
+            f"no {l}-tuple dominating set exists: some vertex has only"
+            f" {min(caps) + l} vertices in its closed neighborhood"
+        )
+    kept = _maximize((), g.adj, caps, vertex_limit, exclude_first=True)
     dominating = sorted(set(range(g.n)).difference(kept.witness))
     return SolveResult(g.n - kept.optimum, tuple(dominating), kept.nodes_explored)
 
@@ -160,30 +158,21 @@ def _check_size(n: int, vertex_limit: int) -> None:
         )
 
 
-def _max_limited(tm: TypedMultigraph, cap: int, vertex_limit: int) -> SolveResult:
-    """Largest X with at most 1 member on each c-edge and at most `cap` in
-    each closed d-neighborhood, branching on vertices by descending degree."""
-    _check_size(tm.n, vertex_limit)
-    constraints = [[u, v] for u in range(tm.n) for v in tm.c_adj[u] if u < v]
-    caps = [1] * len(constraints) + [cap] * tm.n
-    constraints += [[v, *nbrs] for v, nbrs in enumerate(tm.d_adj)]
-    order = sorted(range(tm.n), key=lambda v: (-tm.degree(v), v))
-    return _maximize(tm.n, constraints, caps, order)
-
-
 def _maximize(
-    n: int,
-    constraints: list[list[int]],
+    c_adj: Sequence[Sequence[int]],
+    d_adj: Sequence[Sequence[int]],
     caps: list[int],
-    order: list[int],
+    vertex_limit: int,
     exclude_first: bool = False,
 ) -> SolveResult:
-    """Branch and bound for the largest set within every constraint's cap.
-
-    Every cap must be non-negative and every vertex must lie in at least
-    one constraint, so `fewest` below is never 0.  With `exclude_first`,
-    each vertex is first left out and then taken.
-    """
+    """Branch and bound for the largest X with at most 1 member on each
+    c-edge and at most caps[v] >= 0 in each closed d-neighborhood N[v];
+    with `exclude_first`, each vertex is first left out, then taken."""
+    n = len(d_adj)
+    _check_size(n, vertex_limit)
+    constraints = [[u, v] for u, nbrs in enumerate(c_adj) for v in nbrs if u < v]
+    caps = [1] * len(constraints) + caps
+    constraints += [[v, *nbrs] for v, nbrs in enumerate(d_adj)]
     cons_of: list[list[int]] = [[] for _ in range(n)]
     for c, members in enumerate(constraints):
         for v in members:
@@ -191,6 +180,7 @@ def _maximize(
     size = [len(cs) for cs in cons_of]
     smallest = min(size, default=1)
     most = max(size, default=1)
+    order = sorted(range(n), key=lambda v: (-size[v], v))
     rank = [0] * n
     for pos, v in enumerate(order):
         rank[v] = pos
