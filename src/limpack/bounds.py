@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GraphInputError, _check_positive
+from .errors import GraphInputError, _check_int, _check_positive
 
 Value = Union[Fraction, float]
 
@@ -109,6 +109,9 @@ def bound_sheet(
     avg_degree defaults to min_degree (exact for regular graphs); pass the
     true average when it is known.
     """
+    _check_int("n", n)
+    _check_int("max_degree", max_degree)
+    _check_int("min_degree", min_degree)
     _check_positive("k", k)
     if n < 0:
         raise GraphInputError(f"n must be nonnegative, got {n}")

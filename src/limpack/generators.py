@@ -163,6 +163,9 @@ def gen_random_regular(n: int, r: int, seed: int, max_attempts: int = 1000) -> G
     _check_int("n", n)
     _check_int("r", r)
     _check_int("max_attempts", max_attempts)
+    _check_int("seed", seed)
+    if max_attempts < 1:
+        raise GraphInputError(f"max_attempts must be at least 1, got {max_attempts}")
     if n < 0 or r < 0:
         raise GraphInputError(f"n and r must be nonnegative, got n={n}, r={r}")
     if n * r % 2 != 0:

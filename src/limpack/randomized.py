@@ -27,8 +27,9 @@ D, so desk-scale runs clamp it to the constant 0.5, carry
 ``clamped=True`` and are judged on validity, determinism, and size
 statistics rather than the asymptotic constant.
 
-All runs are deterministic for a fixed seed: one independent generator
-per run, no global state.
+All runs are deterministic for a fixed seed, which must be an int (None
+would draw from OS entropy): one independent generator per run, no
+global state.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .bounds import _sampling_base
-from .errors import GraphInputError, _check_positive
+from .errors import GraphInputError, _check_int, _check_positive
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
 
@@ -90,6 +91,7 @@ def lll_parameters(max_degree: int, k: int) -> LLLParameters:
     1 becomes 1; log log D is undefined for D <= e, which also clamps
     epsilon1.
     """
+    _check_int("max_degree", max_degree)
     if max_degree < 2:
         raise GraphInputError(f"max_degree must be at least 2, got {max_degree}")
     _check_positive("k", k)
@@ -112,6 +114,7 @@ def auto_sample_rate(max_degree: int, k: int) -> float:
     expected yield of sampling followed by repair; for k > D the packing
     is all of V and the rate is 1.
     """
+    _check_int("max_degree", max_degree)
     _check_positive("k", k)
     if k > max_degree:
         return 1.0
@@ -133,6 +136,7 @@ def sample_and_repair(
     identical reports.
     """
     _check_positive("k", k)
+    _check_int("seed", seed)
     rate = auto_sample_rate(degree_stats(g).max_degree, k) if p is None else float(p)
     if not (0.0 <= rate <= 1.0):
         raise GraphInputError(f"p must lie in [0, 1], got {rate}")
@@ -200,6 +204,8 @@ def lll_resample(
     |X| >= (1-epsilon2)*n*p.
     """
     _check_positive("k", k)
+    _check_int("max_rounds", max_rounds)
+    _check_int("seed", seed)
     if max_rounds < 1:
         raise GraphInputError(f"max_rounds must be at least 1, got {max_rounds}")
     params = default_lll_parameters(g, k)

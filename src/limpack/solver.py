@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_positive
+from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_int, _check_positive
 from .graph import Graph, TypedMultigraph, serialize_packing
 
 DEFAULT_VERTEX_LIMIT = 64
@@ -120,6 +120,9 @@ def enumerate_oracle(
     l: Optional[int] = None,
 ) -> int:
     """Exhaustive scan over all subsets; no pruning; test use only (n <= 20)."""
+    for name, value in (("k", k), ("l", l)):
+        if value is not None:
+            _check_int(name, value)
     if g.n > ORACLE_VERTEX_LIMIT:
         raise ResourceLimitError(
             f"enumerate_oracle is limited to {ORACLE_VERTEX_LIMIT} vertices, got {g.n}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterable, Union
 
-from .errors import GraphInputError, PreconditionError, _check_positive
+from .errors import GraphInputError, PreconditionError, _check_int, _check_positive
 from .graph import Graph, TypedMultigraph, _check_endpoint, closed_counts
 
 Violation = Union["VertexViolation", "CEdgeViolation"]
@@ -133,6 +133,7 @@ def dual_complement(g: Graph, vertices: Iterable[int], k: int) -> frozenset[int]
     On an r-regular graph, X is a valid k-limited packing exactly when
     V \\ X is a valid (r+1-k)-tuple dominating set.  Requires 1 <= k <= r+1.
     """
+    _check_int("k", k)
     xs = _check_subset(vertices, g.n)
     if g.n == 0:
         raise PreconditionError("dual_complement needs a nonempty regular graph")
