@@ -38,7 +38,7 @@ from .graph import (
 )
 from .greedy import greedy_packing
 from .randomized import lll_resample, sample_and_repair
-from .solver import DEFAULT_VERTEX_LIMIT, _check_size, max_k_limited, min_tuple_dominating
+from .solver import _check_size, max_k_limited, min_tuple_dominating
 from .verify import verify_k_limited, verify_tuple_dominating, verify_typed_two_limited
 
 
@@ -195,7 +195,7 @@ def _cmd_solve(args) -> int:
     _check_k(args, "solve")
     text = _read_text(args.file)
     # refuse a graph over the solvers' limit before building its n vertices
-    _check_size(read_edge_lines(text)[0], DEFAULT_VERTEX_LIMIT)
+    _check_size(read_edge_lines(text)[0])
     g = _plain_graph(parse_graph(text), args.file, "solve")
     if args.dominating:
         if args.l is None:

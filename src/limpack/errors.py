@@ -33,8 +33,8 @@ class InternalError(LimpackError, RuntimeError):
 
 def _check_int(name: str, value: int) -> None:
     """Every count a caller passes (a limit k or l, a vertex count, a field
-    order, a degree, an attempt or round budget) and every seed is an exact
-    int, not a bool."""
+    order, a degree, a round budget) and every seed is an exact int, not a
+    bool."""
     if type(value) is not int:
         raise GraphInputError(f"{name} must be an int, got {value!r}")
 

@@ -7,7 +7,7 @@ projective orthogonality graphs over GF(q): vertices are the points of a
 tuples, joined when their inner product vanishes; a point's neighbours
 are the solutions of one linear equation, listed directly.  Each
 generator refuses a graph over ``graph.MAX_VERTICES`` vertices before it
-lists any edge or point.
+lists any edge or point; the pairing model gives up after ``MAX_ATTEMPTS``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from itertools import product
 
 from .errors import GraphInputError, ResourceLimitError, _check_int
 from .graph import MAX_VERTICES, Graph, _check_vertex_count
+
+MAX_ATTEMPTS = 1000
 
 # q -> (characteristic p, extension degree, irreducible polynomial coeffs
 # low-to-high).  x^2+x+1 over GF(2), x^3+x+1 over GF(2), x^2+1 over GF(3).
@@ -152,20 +154,17 @@ def gen_named(family: str) -> Graph:
     raise GraphInputError(f"unknown graph family {family!r} (h6, petersen, k4)")
 
 
-def gen_random_regular(n: int, r: int, seed: int, max_attempts: int = 1000) -> Graph:
+def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     """Seeded simple r-regular graph via the pairing model.
 
     Stubs are matched one at a time against a uniformly chosen compatible
     stub (no self-loops, no repeated edges); a dead end discards the whole
-    attempt.  Deterministic for a fixed seed.  An attempt takes
-    O(n r^2 log n) time.
+    attempt, and MAX_ATTEMPTS dead ends raise ResourceLimitError.
+    Deterministic for a fixed seed.  An attempt takes O(n r^2 log n) time.
     """
     _check_int("n", n)
     _check_int("r", r)
-    _check_int("max_attempts", max_attempts)
     _check_int("seed", seed)
-    if max_attempts < 1:
-        raise GraphInputError(f"max_attempts must be at least 1, got {max_attempts}")
     if n < 0 or r < 0:
         raise GraphInputError(f"n and r must be nonnegative, got n={n}, r={r}")
     if n * r % 2 != 0:
@@ -174,12 +173,12 @@ def gen_random_regular(n: int, r: int, seed: int, max_attempts: int = 1000) -> G
         raise GraphInputError(f"need r < n, got n={n}, r={r}")
     _check_vertex_count(n)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         edges = _pairing_attempt(n, r, rng)
         if edges is not None:
             return Graph.from_edges(n, edges)
     raise ResourceLimitError(
-        f"no simple {r}-regular graph found on {n} vertices in {max_attempts} attempts"
+        f"no simple {r}-regular graph found on {n} vertices in {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -1,8 +1,9 @@
 """Exact solvers for packing and domination numbers, plus a brute-force oracle.
 
-One branch-and-bound engine, ``_maximize``, serves every exact solve.
-It finds the largest vertex set with at most 1 member on each c-edge and
-at most caps[v] members in each closed d-neighborhood N[v].  A k-limited
+One branch-and-bound engine, ``_maximize``, serves every exact solve of
+at most ``VERTEX_LIMIT`` vertices (it recurses once per vertex).  It
+finds the largest vertex set with at most 1 member on each c-edge and at
+most caps[v] members in each closed d-neighborhood N[v].  A k-limited
 packing has no c-edges and cap k everywhere (a typed multigraph, cap 2).
 Domination is the same search on the complement: D is l-tuple
 dominating exactly when Y = V - D has at most |N[v]| - l members in
@@ -59,7 +60,7 @@ from typing import Optional, Sequence
 from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_int, _check_positive
 from .graph import Graph, TypedMultigraph, serialize_packing
 
-DEFAULT_VERTEX_LIMIT = 64
+VERTEX_LIMIT = 64
 ORACLE_VERTEX_LIMIT = 20
 
 
@@ -77,38 +78,36 @@ class SolveResult:
         )
 
 
-def max_k_limited(g: Graph, k: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SolveResult:
+def max_k_limited(g: Graph, k: int) -> SolveResult:
     """Largest k-limited packing of g, with a verifying witness."""
     _check_positive("k", k)
-    return _maximize((), g.adj, [k] * g.n, vertex_limit)
+    return _maximize((), g.adj, [k] * g.n)
 
 
-def max_typed_two_limited(
-    tm: TypedMultigraph, vertex_limit: int = DEFAULT_VERTEX_LIMIT
-) -> SolveResult:
+def max_typed_two_limited(tm: TypedMultigraph) -> SolveResult:
     """Largest 2-limited set of a typed multigraph.
 
     Same engine as max_k_limited: each c-edge is an at-most-1 constraint
     and each closed d-neighborhood an at-most-2 constraint.
     """
-    return _maximize(tm.c_adj, tm.d_adj, [2] * tm.n, vertex_limit)
+    return _maximize(tm.c_adj, tm.d_adj, [2] * tm.n)
 
 
-def min_tuple_dominating(g: Graph, l: int, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SolveResult:
+def min_tuple_dominating(g: Graph, l: int) -> SolveResult:
     """Smallest l-tuple dominating set of g.
 
     Feasible only when l <= min_degree + 1; solved as the complement
     packing (caps |N[v]| - l), so it also works on non-regular graphs.
     """
     _check_positive("l", l)
-    _check_size(g.n, vertex_limit)
+    _check_size(g.n)
     caps = [len(a) + 1 - l for a in g.adj]
     if min(caps, default=0) < 0:
         raise InfeasibleError(
             f"no {l}-tuple dominating set exists: some vertex has only"
             f" {min(caps) + l} vertices in its closed neighborhood"
         )
-    kept = _maximize((), g.adj, caps, vertex_limit, exclude_first=True)
+    kept = _maximize((), g.adj, caps, exclude_first=True)
     dominating = sorted(set(range(g.n)).difference(kept.witness))
     return SolveResult(g.n - kept.optimum, tuple(dominating), kept.nodes_explored)
 
@@ -153,10 +152,10 @@ def enumerate_oracle(
     raise GraphInputError(f"unknown oracle mode {mode!r} (packing or domination)")
 
 
-def _check_size(n: int, vertex_limit: int) -> None:
-    if n > vertex_limit:
+def _check_size(n: int) -> None:
+    if n > VERTEX_LIMIT:
         raise ResourceLimitError(
-            f"graph has {n} vertices (limit {vertex_limit}); use the randomized"
+            f"graph has {n} vertices (limit {VERTEX_LIMIT}); use the randomized"
             " constructors (sample_and_repair, lll_resample) for large instances"
         )
 
@@ -165,14 +164,13 @@ def _maximize(
     c_adj: Sequence[Sequence[int]],
     d_adj: Sequence[Sequence[int]],
     caps: list[int],
-    vertex_limit: int,
     exclude_first: bool = False,
 ) -> SolveResult:
     """Branch and bound for the largest X with at most 1 member on each
     c-edge and at most caps[v] >= 0 in each closed d-neighborhood N[v];
     with `exclude_first`, each vertex is first left out, then taken."""
     n = len(d_adj)
-    _check_size(n, vertex_limit)
+    _check_size(n)
     constraints = [[u, v] for u, nbrs in enumerate(c_adj) for v in nbrs if u < v]
     caps = [1] * len(constraints) + caps
     constraints += [[v, *nbrs] for v, nbrs in enumerate(d_adj)]

@@ -101,12 +101,14 @@ def test_random_regular_contract():
     assert gen_random_regular(200, 10, seed=0).m == 1000
 
 
-def test_random_regular_infeasible_exhausts():
+def test_random_regular_infeasible_exhausts(monkeypatch):
     # r = n-1 forces K_n; impossible to stay simple when also r >= n
     with pytest.raises(GraphInputError):
         gen_random_regular(4, 4, seed=0)
+    # seed 0's first pairing attempt on 8 vertices reaches a dead end
+    monkeypatch.setattr(limpack.generators, "MAX_ATTEMPTS", 1)
     with pytest.raises(ResourceLimitError, match="in 1 attempts"):
-        gen_random_regular(8, 3, 0, max_attempts=1)
+        gen_random_regular(8, 3, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9])

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from limpack import (
@@ -165,9 +168,25 @@ def test_vertex_limit():
     big = Graph.from_edges(65, [])
     with pytest.raises(ResourceLimitError, match="randomized"):
         max_k_limited(big, 1)
-    assert max_k_limited(big, 1, vertex_limit=65).optimum == 65
+    assert max_k_limited(Graph.from_edges(64, []), 1).optimum == 64
     with pytest.raises(ResourceLimitError):
         min_tuple_dominating(big, 1)
+
+
+def test_limit_sized_solves_fit_a_small_recursion_limit():
+    # the search recurses once per vertex, so 64 vertices need about 65 frames
+    code = (
+        "import sys\n"
+        "from limpack import Graph, TypedMultigraph, max_k_limited,"
+        " max_typed_two_limited, min_tuple_dominating\n"
+        "sys.setrecursionlimit(100)\n"
+        "g = Graph.from_edges(64, [])\n"
+        "print(max_k_limited(g, 1).optimum, min_tuple_dominating(g, 1).optimum,"
+        " max_typed_two_limited(TypedMultigraph.from_edges(64, [])).optimum)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "64 64 64\n"
 
 
 def test_deterministic_witness(petersen):
