@@ -764,12 +764,6 @@ def _reverse_bfs_color(
     order = list(bfs_levels(g.neighbors, root, vertex_set))
     local: dict[int, int] = dict(pre)
     for w in reversed(order):
-        used = {local[x] for x in g.adj[w] if x in local}
-        for color in (0, 1, 2):
-            if color not in used:
-                local[w] = color
-                break
-        else:
-            local[w] = 3  # cannot happen (see above); the properness check raises
+        local[w] = min({0, 1, 2, 3} - {local[x] for x in g.adj[w] if x in local})
     for w in order:
         colors[w] = local[w]
