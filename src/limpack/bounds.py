@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GraphInputError, _check_int, _check_positive
+from .errors import GraphInputError, _check_int, _check_number, _check_positive
 
 Value = Union[Fraction, float]
 
@@ -121,6 +121,8 @@ def bound_sheet(
         )
     if max(n * k, max_degree) > sys.float_info.max:
         raise GraphInputError(f"n*k and max_degree must be at most {sys.float_info.max!r}")
+    if avg_degree is not None:
+        _check_number("avg_degree", avg_degree)
     d = float(min_degree) if avg_degree is None else float(avg_degree)
 
     exact_value = n if k > max_degree else None

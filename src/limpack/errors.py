@@ -39,6 +39,13 @@ def _check_int(name: str, value: int) -> None:
         raise GraphInputError(f"{name} must be an int, got {value!r}")
 
 
+def _check_number(name: str, value: float) -> None:
+    """Every rate p and average degree a caller passes is an int or a
+    float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise GraphInputError(f"{name} must be a number, got {value!r}")
+
+
 def _check_positive(name: str, value: int) -> None:
     """Every limit k or l of a packing or domination problem is an int of
     at least 1."""

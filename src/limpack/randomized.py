@@ -16,7 +16,8 @@ overfull are fixed, each once and in ascending order, and the result
 always verifies.  Its auto rate p = (C(D,k)*(D+1))^(-1/k) maximizes the
 guaranteed expected size p - C(D+1,k+1)*p^(k+1) per vertex, which works
 out to exactly the random lower bound of the bound sheet.  In both
-constructors p=None means the method's own rate and a float overrides it.
+constructors p=None means the method's own rate and a number (an int or
+a float, not a bool or a string) overrides it.
 
 ``lll_resample`` fixes v in the Moser-Tardos style, by resampling the
 whole of N[v], for at most ``max_rounds`` rounds.  The resampler is this
@@ -42,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .bounds import _sampling_base
-from .errors import GraphInputError, _check_int, _check_positive
+from .errors import GraphInputError, _check_int, _check_number, _check_positive
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
 
@@ -137,6 +138,8 @@ def sample_and_repair(
     """
     _check_positive("k", k)
     _check_int("seed", seed)
+    if p is not None:
+        _check_number("p", p)
     rate = auto_sample_rate(degree_stats(g).max_degree, k) if p is None else float(p)
     if not (0.0 <= rate <= 1.0):
         raise GraphInputError(f"p must lie in [0, 1], got {rate}")
@@ -210,6 +213,7 @@ def lll_resample(
         raise GraphInputError(f"max_rounds must be at least 1, got {max_rounds}")
     params = default_lll_parameters(g, k)
     if p is not None:
+        _check_number("p", p)
         params = replace(params, p=p)
     if not (0.0 < params.p <= 1.0):
         raise GraphInputError(f"p must lie in (0, 1], got {params.p}")
