@@ -37,7 +37,7 @@ from .graph import (
     serialize_packing,
 )
 from .greedy import greedy_packing
-from .randomized import lll_resample, sample_and_repair
+from .randomized import MAX_ROUNDS, lll_resample, sample_and_repair
 from .solver import _check_size, max_k_limited, min_tuple_dominating
 from .verify import verify_k_limited, verify_tuple_dominating, verify_typed_two_limited
 
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--k", type=int, required=True)
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--p", type=float)
-    p_con.add_argument("--max-rounds", type=int, default=100_000)
+    p_con.add_argument("--max-rounds", type=int, default=MAX_ROUNDS)
     p_con.add_argument("--trace")
     p_con.add_argument("file")
     p_con.set_defaults(func=_cmd_construct)
@@ -229,7 +229,7 @@ def _cmd_construct(args) -> int:
     return 0 if success else 1
 
 
-def _construct(method: str, g, k: int, seed: int = 0, p=None, max_rounds: int = 100_000):
+def _construct(method: str, g, k: int, seed: int = 0, p=None, max_rounds: int = MAX_ROUNDS):
     """Run one construct method on g: the chosen set, the report lines,
     whether the run succeeded, and the cubic2 trace (None otherwise)."""
     if method == "cubic2":

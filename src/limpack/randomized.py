@@ -47,6 +47,8 @@ from .errors import GraphInputError, _check_int, _check_number, _check_positive
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
 
+MAX_ROUNDS = 100_000
+
 
 @dataclass(frozen=True)
 class LLLParameters:
@@ -193,7 +195,7 @@ def lll_resample(
     k: int,
     p: Optional[float] = None,
     seed: int = 0,
-    max_rounds: int = 100_000,
+    max_rounds: int = MAX_ROUNDS,
 ) -> RandomRunReport:
     """Resampling constructor: fix violated neighborhoods until none remain.
 
