@@ -107,7 +107,8 @@ def bound_sheet(
     Binomial coefficients of at most 2^16 bits are computed exactly before
     any floating-point conversion; larger ones go by their logarithm.
     avg_degree defaults to min_degree (exact for regular graphs); pass the
-    true average when it is known.
+    true average when it is known.  It must lie in [min_degree, max_degree],
+    as a graph's average degree does.
     """
     _check_int("n", n)
     _check_int("max_degree", max_degree)
@@ -123,6 +124,14 @@ def bound_sheet(
         raise GraphInputError(f"n*k and max_degree must be at most {sys.float_info.max!r}")
     if avg_degree is not None:
         _check_number("avg_degree", avg_degree)
+        if not min_degree <= avg_degree <= max_degree:  # nan fails both
+            # an int too long to write out goes by its bit length
+            big = type(avg_degree) is int and avg_degree.bit_length() > 64
+            got = f"an int of {avg_degree.bit_length()} bits" if big else avg_degree
+            raise GraphInputError(
+                f"avg_degree must lie in [min_degree, max_degree] = [{min_degree},"
+                f" {max_degree}], got {got}"
+            )
     d = float(min_degree) if avg_degree is None else float(avg_degree)
 
     exact_value = n if k > max_degree else None

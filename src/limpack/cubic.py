@@ -97,8 +97,8 @@ class _Piece:
         self.low: list[tuple[int, int]] = []
         # every possible vertex c of configuration A (c-degree 3)
         self.cand: list[int] = []
-        # d-edges (u < v): all of them, then those in one and in two triangles
-        self.dedges: tuple[list[tuple[int, int]], ...] = ([], [], [])
+        # (2 - triangles, u, v) for every d-edge u < v, keyed when pushed
+        self.dedges: list[tuple[int, int, int]] = []
 
 
 def _top(heap: list, valid: Callable) -> Any:
@@ -152,7 +152,7 @@ class _State:
             heappush(piece.cand, v)
         for w in self.dadj[v]:
             if v < w:
-                heappush(piece.dedges[0], (v, w))
+                heappush(piece.dedges, (2, v, w))
         self.note(v)
 
     def note(self, v: int) -> None:
@@ -164,7 +164,7 @@ class _State:
         for w in self.dadj[v]:
             common = len(self.nadj[v] & self.nadj[w])
             if common:
-                heappush(piece.dedges[common], (min(v, w), max(v, w)))
+                heappush(piece.dedges, (2 - common, min(v, w), max(v, w)))
 
     def _low_key(self, v: int) -> int:
         """1 or 2 for a vertex with that many distinct neighbors, 3 for any
@@ -187,17 +187,19 @@ class _State:
             piece.low, lambda e: self.owner[e[1]] is piece and self._low_key(e[1]) == e[0]
         )
 
-    def d_edge(self, piece: _Piece, triangles: int) -> Optional[tuple[int, int]]:
-        """Lowest d-edge of `piece` lying in exactly `triangles` (1 or 2)
-        triangles, or with `triangles` 0 the lowest d-edge of all."""
+    def d_edge(self, piece: _Piece) -> Optional[tuple[int, int]]:
+        """Lowest d-edge of `piece` in two triangles, else in one, else the
+        lowest of all.  `note` pushes a d-edge whenever its triangle count
+        changes, so a key-2 entry tops the heap only when every count is 0."""
 
-        def valid(e: tuple[int, int]) -> bool:
-            u, v = e
+        def valid(e: tuple[int, int, int]) -> bool:
+            key, u, v = e
             if self.owner[u] is not piece or v not in self.dadj[u]:
                 return False
-            return not triangles or len(self.nadj[u] & self.nadj[v]) == triangles
+            return key == 2 - len(self.nadj[u] & self.nadj[v])
 
-        return _top(piece.dedges[triangles], valid)
+        e = _top(piece.dedges, valid)
+        return None if e is None else e[1:]
 
     def config_a(self, piece: _Piece) -> Optional[ConfigurationA]:
         """What `_find_config_a(self, members)` returns, from the lowest
@@ -212,15 +214,8 @@ class _State:
         x = u, via d).  `apply` pushes those c values, so a candidate
         dropped for having no occurrence never needs to come back unless
         it is pushed again."""
-        heap = piece.cand
-        while heap:
-            c = heap[0]
-            if self.owner[c] is piece:
-                cfg = _find_config_a(self, (c,))
-                if cfg is not None:
-                    return cfg
-            heappop(heap)
-        return None
+        c = _top(piece.cand, lambda c: self.owner[c] is piece and _find_config_a(self, (c,)))
+        return None if c is None else _find_config_a(self, (c,))
 
     def apply(
         self, piece: _Piece, removed: set[int], added: list[tuple[int, int]]
@@ -414,7 +409,7 @@ def _reduce_component(st: _State, piece: _Piece) -> _Step:
         raise InternalError("internal error: all-c K4 component reached the base case")
 
     # all edges c: 3-color and take the largest color class
-    if st.d_edge(piece, 0) is None:
+    if st.d_edge(piece) is None:
         return _brooks_class(st, st.members(piece))
 
     cfg = st.config_a(piece)
@@ -516,7 +511,7 @@ def _reduce_d_edge(st: _State, piece: _Piece) -> _Step:
     """Eliminate the lowest d-edge uv in two triangles, else in one, else
     the lowest d-edge; the graph here is simple, 3-regular, and has a
     d-edge (an all-c component would have been 3-colored instead)."""
-    u, v = st.d_edge(piece, 2) or st.d_edge(piece, 1) or st.d_edge(piece, 0)
+    u, v = st.d_edge(piece)
     common = sorted(st.neighbors(u) & st.neighbors(v))
     if len(common) == 2:
         return _two_triangles(st, u, v, common)
@@ -692,8 +687,6 @@ def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
                 and len(components_within(g.neighbors, comp_set - {a, b})) <= 1
             ):
                 _reverse_bfs_color(g, comp_set - {a, b}, v, {a: 0, b: 0}, colors)
-                colors[a] = 0
-                colors[b] = 0
                 return
     raise InternalError("internal error: no Brooks decomposition found")
 
@@ -758,12 +751,12 @@ def _reverse_bfs_color(
 ) -> None:
     """Greedy coloring in reverse BFS order (root last) within vertex_set.
 
-    Precolored vertices (outside vertex_set) count as colored neighbors.
+    Precolored vertices (outside vertex_set) count as neighbors; all go into `colors`.
     Every non-root vertex still has its BFS parent uncolored when its
     turn comes, so 3 colors always suffice when deg(root) < 3 inside."""
     order = list(bfs_levels(g.neighbors, root, vertex_set))
     local: dict[int, int] = dict(pre)
     for w in reversed(order):
         local[w] = min({0, 1, 2, 3} - {local[x] for x in g.adj[w] if x in local})
-    for w in order:
-        colors[w] = local[w]
+    for w, c in local.items():
+        colors[w] = c

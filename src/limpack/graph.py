@@ -288,7 +288,9 @@ def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
 
 
 def serialize_graph(g: Union[Graph, TypedMultigraph]) -> str:
-    """Inverse of parse_graph, stable under round-trips up to edge order."""
+    """Inverse of parse_graph, stable under round-trips up to edge order,
+    except that an edgeless TypedMultigraph writes no type token, so it
+    reads back as a plain Graph."""
     edges = g.edges()
     lines = [f"{g.n} {len(edges)}"]
     if isinstance(g, TypedMultigraph):

@@ -51,6 +51,10 @@ def test_petersen_all_d(petersen):
     assert len(chosen) >= 4
 
 
+def test_plain_graph_is_promoted_all_d(petersen):
+    assert construct_two_limited(petersen) == construct_two_limited(all_d(petersen))
+
+
 def test_empty_graph():
     chosen, trace = construct_two_limited(TypedMultigraph.from_edges(0, []))
     assert chosen == frozenset() and trace.steps == ()
