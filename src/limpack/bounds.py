@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GraphInputError, _check_int, _check_number, _check_positive
+from .errors import GraphInputError, _check_int, _check_number, _check_positive, _show
 
 Value = Union[Fraction, float]
 
@@ -115,22 +115,19 @@ def bound_sheet(
     _check_int("min_degree", min_degree)
     _check_positive("k", k)
     if n < 0:
-        raise GraphInputError(f"n must be nonnegative, got {n}")
+        raise GraphInputError(f"n must be nonnegative, got {_show(n)}")
     if max_degree < min_degree or min_degree < 0:
         raise GraphInputError(
-            f"need max_degree >= min_degree >= 0, got {max_degree}, {min_degree}"
+            f"need max_degree >= min_degree >= 0, got {_show(max_degree)}, {_show(min_degree)}"
         )
     if max(n * k, max_degree) > sys.float_info.max:
         raise GraphInputError(f"n*k and max_degree must be at most {sys.float_info.max!r}")
     if avg_degree is not None:
         _check_number("avg_degree", avg_degree)
         if not min_degree <= avg_degree <= max_degree:  # nan fails both
-            # an int too long to write out goes by its bit length
-            big = type(avg_degree) is int and avg_degree.bit_length() > 64
-            got = f"an int of {avg_degree.bit_length()} bits" if big else avg_degree
             raise GraphInputError(
                 f"avg_degree must lie in [min_degree, max_degree] = [{min_degree},"
-                f" {max_degree}], got {got}"
+                f" {max_degree}], got {_show(avg_degree)}"
             )
     d = float(min_degree) if avg_degree is None else float(avg_degree)
 

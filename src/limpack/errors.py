@@ -31,6 +31,15 @@ class InternalError(LimpackError, RuntimeError):
     """An internal invariant of an algorithm does not hold: a bug in limpack."""
 
 
+def _show(value: object) -> object:
+    """A value as an error message writes it.  An int of over 64 bits may be
+    too long to write out (10**400 has 401 digits), so it goes by its bit
+    length: "over 2^1328", or "under -2^1328" when it is negative."""
+    if type(value) is int and value.bit_length() > 64:
+        return f"{'under -' if value < 0 else 'over '}2^{value.bit_length() - 1}"
+    return value
+
+
 def _check_int(name: str, value: int) -> None:
     """Every count a caller passes (a limit k or l, a vertex count, a field
     order, a degree, a round budget) and every seed is an exact int, not a
@@ -51,4 +60,4 @@ def _check_positive(name: str, value: int) -> None:
     at least 1."""
     _check_int(name, value)
     if value < 1:
-        raise GraphInputError(f"{name} must be positive, got {value}")
+        raise GraphInputError(f"{name} must be positive, got {_show(value)}")

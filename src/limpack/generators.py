@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .errors import GraphInputError, ResourceLimitError, _check_int
+from .errors import GraphInputError, ResourceLimitError, _check_int, _show
 from .graph import MAX_VERTICES, Graph, _check_vertex_count
 
 MAX_ATTEMPTS = 1000
@@ -82,7 +82,7 @@ def projective_points(q: int, k: int) -> list[tuple[int, ...]]:
     _check_int("q", q)
     _check_int("k", k)
     if k < 1:
-        raise GraphInputError(f"k must be at least 1, got {k}")
+        raise GraphInputError(f"k must be at least 1, got {_show(k)}")
     if q >= 2:  # before GaloisField's primality test, which takes sqrt(q) steps
         # log2 of the point count is at least `low`: past 2^16 bits, refuse
         # from it rather than form q^(k+2) (over 1 GiB for q = 2, k = 10^10)
@@ -130,7 +130,7 @@ def gen_cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
     _check_int("n", n)
     if n < 3:
-        raise GraphInputError(f"a cycle needs at least 3 vertices, got {n}")
+        raise GraphInputError(f"a cycle needs at least 3 vertices, got {_show(n)}")
     _check_vertex_count(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -166,11 +166,11 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     _check_int("r", r)
     _check_int("seed", seed)
     if n < 0 or r < 0:
-        raise GraphInputError(f"n and r must be nonnegative, got n={n}, r={r}")
+        raise GraphInputError(f"n and r must be nonnegative, got n={_show(n)}, r={_show(r)}")
     if n * r % 2 != 0:
-        raise GraphInputError(f"n*r must be even, got n={n}, r={r}")
+        raise GraphInputError(f"n*r must be even, got n={_show(n)}, r={_show(r)}")
     if r > 0 and r >= n:
-        raise GraphInputError(f"need r < n, got n={n}, r={r}")
+        raise GraphInputError(f"need r < n, got n={_show(n)}, r={_show(r)}")
     _check_vertex_count(n)
     rng = random.Random(seed)
     for _ in range(MAX_ATTEMPTS):

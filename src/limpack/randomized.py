@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .bounds import _sampling_base
-from .errors import GraphInputError, _check_int, _check_number, _check_positive
+from .errors import GraphInputError, _check_int, _check_number, _check_positive, _show
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
 
@@ -96,7 +96,7 @@ def lll_parameters(max_degree: int, k: int) -> LLLParameters:
     """
     _check_int("max_degree", max_degree)
     if max_degree < 2:
-        raise GraphInputError(f"max_degree must be at least 2, got {max_degree}")
+        raise GraphInputError(f"max_degree must be at least 2, got {_show(max_degree)}")
     _check_positive("k", k)
     if k * max_degree > sys.float_info.max:
         raise GraphInputError(f"k*max_degree must be at most {sys.float_info.max!r}")
@@ -119,6 +119,8 @@ def auto_sample_rate(max_degree: int, k: int) -> float:
     """
     _check_int("max_degree", max_degree)
     _check_positive("k", k)
+    if max_degree < 0:
+        raise GraphInputError(f"max_degree must be nonnegative, got {_show(max_degree)}")
     if k > max_degree:
         return 1.0
     if max_degree > sys.float_info.max:
@@ -142,9 +144,9 @@ def sample_and_repair(
     _check_int("seed", seed)
     if p is not None:
         _check_number("p", p)
+        if not 0 <= p <= 1:  # before float(p), which overflows on a huge int
+            raise GraphInputError(f"p must lie in [0, 1], got {_show(p)}")
     rate = auto_sample_rate(degree_stats(g).max_degree, k) if p is None else float(p)
-    if not (0.0 <= rate <= 1.0):
-        raise GraphInputError(f"p must lie in [0, 1], got {rate}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < rate}
 
@@ -212,13 +214,13 @@ def lll_resample(
     _check_int("max_rounds", max_rounds)
     _check_int("seed", seed)
     if max_rounds < 1:
-        raise GraphInputError(f"max_rounds must be at least 1, got {max_rounds}")
+        raise GraphInputError(f"max_rounds must be at least 1, got {_show(max_rounds)}")
     params = default_lll_parameters(g, k)
     if p is not None:
         _check_number("p", p)
         params = replace(params, p=p)
     if not (0.0 < params.p <= 1.0):
-        raise GraphInputError(f"p must lie in (0, 1], got {params.p}")
+        raise GraphInputError(f"p must lie in (0, 1], got {_show(params.p)}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < params.p}
     rounds, _, success = _fix_overfull(

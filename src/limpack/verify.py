@@ -7,7 +7,8 @@ typed multigraph the 2-limited condition splits in two: no c-edge has
 both endpoints in X, and every closed d-neighborhood holds at most 2
 members of X.
 
-Packings count |N[v] ∩ X| directly.  Domination counts the complement,
+Packings count |N[v] ∩ X| directly, and so does domination when D is
+at most half of V.  A larger D counts its smaller complement,
 |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D|, the duality the solver uses too.
 Limits k and l are ints of at least 1.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterable, Union
 
-from .errors import GraphInputError, PreconditionError, _check_int, _check_positive
+from .errors import GraphInputError, PreconditionError, _check_int, _check_positive, _show
 from .graph import Graph, TypedMultigraph, _check_endpoint, closed_counts
 
 Violation = Union["VertexViolation", "CEdgeViolation"]
@@ -96,12 +97,15 @@ def verify_typed_two_limited(tm: TypedMultigraph, vertices: Iterable[int]) -> Ve
 def verify_tuple_dominating(g: Graph, vertices: Iterable[int], l: int) -> VerificationReport:
     """Check |N[v] ∩ D| >= l for every vertex.
 
-    The complement is counted, as the solver treats domination as the
-    complement packing: |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D| on any graph."""
+    Whichever of D and V \\ D is smaller is counted, O(min(|D|, n - |D|)·Δ)
+    plus O(n); the complement gives |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D|."""
     _check_positive("l", l)
     ds = _check_subset(vertices, g.n)
-    outside = closed_counts(g.adj, filterfalse(ds.__contains__, range(g.n)))
-    counts = [len(a) + 1 - c for a, c in zip(g.adj, outside)]
+    if 2 * len(ds) <= g.n:
+        counts = closed_counts(g.adj, ds)
+    else:
+        outside = closed_counts(g.adj, filterfalse(ds.__contains__, range(g.n)))
+        counts = [len(a) + 1 - c for a, c in zip(g.adj, outside)]
     violations = tuple(VertexViolation(v, c, l) for v, c in enumerate(counts) if c < l)
     return VerificationReport(not violations, violations)
 
@@ -142,5 +146,5 @@ def dual_complement(g: Graph, vertices: Iterable[int], k: int) -> frozenset[int]
         raise PreconditionError(f"graph is not regular (degrees {sorted(degs)})")
     r = degs.pop()
     if not (1 <= k <= r + 1):
-        raise GraphInputError(f"k must be in [1, {r + 1}] for a {r}-regular graph, got {k}")
+        raise GraphInputError(f"k must be in [1, {r + 1}] for a {r}-regular graph, got {_show(k)}")
     return frozenset(range(g.n)) - xs

@@ -1,10 +1,12 @@
-"""Frozen copy of the two-pass edge-list reader and of the typed builder.
+"""Frozen copy of the two-pass edge-list reader and of both builders.
 
 The reader first lists every edge line as a (u, v, type or None) triple
 (``read_edge_lines``), then scans that list again to build the graph
-(``build_graph``); ``from_edges`` copies its triples and filters them
-once per edge type.  ``test_parse_reference.py`` compares the current
-one-pass reader and builder against this module: the same graph, or the
+(``build_graph``); ``typed_from_edges`` copies its triples and filters
+them once per edge type, and ``graph_from_edges`` checks each endpoint
+through ``_check_endpoint`` in turn.  Every adjacency goes through one
+set per vertex.  ``test_parse_reference.py`` compares the current
+one-pass reader and builders against this module: the same graph, or the
 same exception type and message.  Do not change this module when the
 reader changes.
 """
@@ -77,6 +79,21 @@ def build_graph(
         _adjacency(n, [(u, v) for u, v, s in raw_edges if (s or "d") == t]) for t in "cd"
     )
     return TypedMultigraph(n, c_adj, d_adj)
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The body of ``Graph.from_edges``."""
+    if type(n) is not int:
+        raise GraphInputError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+    edges = list(edges)
+    for u, v in edges:
+        _check_endpoint(u, n)
+        _check_endpoint(v, n)
+        if u == v:
+            raise GraphInputError(f"self-loop at vertex {u}")
+    return Graph(n, _adjacency(n, edges))
 
 
 def typed_from_edges(n: int, edges: Iterable[tuple[int, int, str]]) -> TypedMultigraph:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from limpack import (
     disjoint_union,
     gen_cycle,
     gen_named,
+    gen_random_regular,
     pairwise_distance,
     parse_graph,
     parse_packing,
@@ -243,3 +245,24 @@ def test_empty_graph_everywhere():
     assert serialize_graph(g) == "0 0\n"
     assert parse_graph("0 0\n") == g
     assert connected_components(g) == []
+
+
+def _peak_over_retained(build) -> float:
+    """The traced peak of build() over the memory its result keeps."""
+    tracemalloc.start()
+    try:
+        result = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    return peak / retained
+
+
+def test_builders_hold_little_beyond_the_graph():
+    """No set per vertex and no tuple per edge while a graph is built: with
+    both, the peak was 7.1x (from_edges) and 3.6x (parse) the result."""
+    g = gen_random_regular(16000, 10, 1)
+    edges, text = g.edges(), serialize_graph(g)
+    assert _peak_over_retained(lambda: Graph.from_edges(g.n, edges)) <= 2.5
+    assert _peak_over_retained(lambda: parse_graph(text)) <= 2.5

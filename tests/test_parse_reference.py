@@ -1,13 +1,14 @@
 """Differential test: the edge-list reader against a frozen two-pass copy.
 
 Seeded random texts go through ``parse_graph`` and ``parse_packing``,
-and seeded random (u, v, type) lists through
-``TypedMultigraph.from_edges``, both here and in ``reference_parse``.
-Each pair must agree on the built graph (its class and serialization),
-or on the exact exception type and message.  The texts mix endpoints in
-and out of range, bad tokens and types, comments, tabs, no-break spaces
-and both line ends; the lists mix bools, floats, strings, unhashable
-type tokens, wrong arities and one-shot iterators.
+and seeded random (u, v) and (u, v, type) lists through
+``Graph.from_edges`` and ``TypedMultigraph.from_edges``, both here and
+in ``reference_parse``.  Each pair must agree on the built graph (its
+class and adjacency), or on the exact exception type and message.  The
+texts mix endpoints in and out of range, bad tokens and types, comments,
+tabs, no-break spaces and both line ends; the lists mix bools, floats,
+strings, self-loops, repeated pairs, unhashable type tokens, wrong
+arities and one-shot iterators.
 """
 
 import random
@@ -33,7 +34,7 @@ def _outcome(call, *args):
     except Exception as exc:  # the exact type and message are compared
         return type(exc), str(exc)
     if isinstance(result, (Graph, TypedMultigraph)):
-        return type(result), serialize_graph(result)
+        return type(result), serialize_graph(result), result
     return result
 
 
@@ -93,6 +94,25 @@ def _triples(rng: random.Random, n: int) -> list:
     return out
 
 
+def _pairs(rng: random.Random, n) -> list:
+    ends = [0, 1, 2, n - 1, n, -1, 1.5, True, False, "1", 10**8]
+    out: list = []
+    seen: list = []
+    for _ in range(rng.randrange(12)):
+        roll = rng.random()
+        if roll < 0.2 and seen:  # a repeated pair, either way round
+            u, v = rng.choice(seen)
+            out.append((u, v) if rng.random() < 0.5 else (v, u))
+            continue
+        if roll < 0.85:
+            u, v = rng.randrange(max(n, 1)), rng.randrange(max(n, 1))
+        else:
+            u, v = rng.choice(ends), rng.choice(ends)
+        seen.append((u, v))
+        out.append((u, v) if rng.random() < 0.97 else rng.choice([(u,), (u, v, v)]))
+    return out
+
+
 def _shape(rng: random.Random, edges: list):
     """The same edges as a list, tuple, iterator or generator."""
     return rng.choice([list, tuple, iter, lambda e: (x for x in e)])(edges)
@@ -132,3 +152,17 @@ def test_typed_from_edges_matches_reference():
         assert new == old, (n, edges)
         kinds.add(new[0].__name__)
     assert kinds == {"TypedMultigraph", "GraphInputError", "ResourceLimitError", "ValueError"}
+
+
+def test_from_edges_matches_reference():
+    rng = random.Random(SEED)
+    kinds = set()
+    for _ in range(CASES):
+        n = rng.choice([-1, 0, 1, 3, 6, 6, 10, 10**8, 2.0, True])
+        edges = _pairs(rng, n if type(n) is int else 3)
+        shape = rng.random()
+        new = _outcome(Graph.from_edges, n, _shape(random.Random(shape), edges))
+        old = _outcome(ref.graph_from_edges, n, _shape(random.Random(shape), edges))
+        assert new == old, (n, edges)
+        kinds.add(new[0].__name__)
+    assert kinds == {"Graph", "GraphInputError", "ResourceLimitError", "ValueError"}

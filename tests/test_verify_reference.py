@@ -71,6 +71,17 @@ def test_tuple_dominating_at_half_matches_reference():
                     _same(verify_tuple_dominating(g, ds, l), ref.verify_tuple_dominating(g, ds, l))
 
 
+def test_tuple_dominating_small_and_large_sets_match_reference():
+    """A small D is counted directly and a large one through its
+    complement; both reports equal the seed loop's."""
+    rng = random.Random(3)
+    g = gen_random_regular(400, 10, seed=1)
+    for size in (0, 1, 4, 40, 100, 320, 396, 400):
+        ds = rng.sample(range(g.n), size)
+        for l in (1, 2, 6, 11, 12):
+            _same(verify_tuple_dominating(g, ds, l), ref.verify_tuple_dominating(g, ds, l))
+
+
 @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
 def test_typed_verifier_matches_reference(seeds):
     rng = random.Random(seeds[0])
