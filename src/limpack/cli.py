@@ -23,7 +23,7 @@ from typing import Optional
 from .bounds import bound_sheet
 from .cubic import construct_two_limited
 from .errors import GraphInputError, InfeasibleError, InternalError, LimpackError
-from .generators import gen_cycle, gen_named, gen_projective, gen_random_regular
+from .generators import _check_edge_count, gen_cycle, gen_named, gen_projective, gen_random_regular
 from .graph import (
     Graph,
     TypedMultigraph,
@@ -186,6 +186,7 @@ def _cmd_gen(args) -> int:
             raise _UsageError("gen --family random-regular needs --n and --r")
         g = gen_random_regular(args.n, args.r, args.seed)
     _check_vertex_count(g.n * args.copies)  # before the list of copies is made
+    _check_edge_count(sum(map(len, g.adj)) // 2 * args.copies)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_graph(disjoint_union(*[g] * args.copies)))
     return 0

@@ -7,7 +7,9 @@ projective orthogonality graphs over GF(q): vertices are the points of a
 tuples, joined when their inner product vanishes; a point's neighbours
 are the solutions of one linear equation, listed directly.  Each
 generator refuses a graph over ``graph.MAX_VERTICES`` vertices before it
-lists any edge or point; the pairing model gives up after ``MAX_ATTEMPTS``.
+lists any edge or point, and the random regular and projective families
+refuse one over ``MAX_EDGES`` edges as well (n·r/2, and at most n·H/2 with
+H the degree bound below); the pairing model gives up after ``MAX_ATTEMPTS``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .errors import GraphInputError, ResourceLimitError, _check_int, _show
 from .graph import MAX_VERTICES, Graph, _check_vertex_count
 
 MAX_ATTEMPTS = 1000
+# Every cubic graph within graph.MAX_VERTICES stays under it.
+MAX_EDGES = 2 * 10**7
 
 # q -> (characteristic p, extension degree, irreducible polynomial coeffs
 # low-to-high).  x^2+x+1 over GF(2), x^3+x+1 over GF(2), x^2+1 over GF(3).
@@ -79,6 +83,19 @@ def projective_points(q: int, k: int) -> list[tuple[int, ...]]:
     Count is (q^(k+2)-1)/(q-1); points are in lexicographic order, which
     fixes the vertex numbering of gen_projective.
     """
+    _point_count(q, k)
+    # the leading 1 moves from the last position to the first, so each
+    # block of points follows every point with more leading zeros
+    return [
+        (0,) * i + (1,) + suffix
+        for i in reversed(range(k + 2))
+        for suffix in product(range(q), repeat=k + 1 - i)
+    ]
+
+
+def _point_count(q: int, k: int) -> int:
+    """The point count of projective_points(q, k), once q and k are checked
+    and the count is within the vertex limit."""
     _check_int("q", q)
     _check_int("k", k)
     if k < 1:
@@ -89,15 +106,10 @@ def projective_points(q: int, k: int) -> list[tuple[int, ...]]:
         low = (k + 1) * (q.bit_length() - 1)
         if low > 2**16:
             raise ResourceLimitError(f"graph has over 2^{low} vertices (limit {MAX_VERTICES})")
-        _check_vertex_count((q ** (k + 2) - 1) // (q - 1))
+        count = (q ** (k + 2) - 1) // (q - 1)
+        _check_vertex_count(count)
     GaloisField(q)  # validates q
-    # the leading 1 moves from the last position to the first, so each
-    # block of points follows every point with more leading zeros
-    return [
-        (0,) * i + (1,) + suffix
-        for i in reversed(range(k + 2))
-        for suffix in product(range(q), repeat=k + 1 - i)
-    ]
+    return count
 
 
 def gen_projective(q: int, k: int) -> Graph:
@@ -111,6 +123,8 @@ def gen_projective(q: int, k: int) -> Graph:
     normalized (y is zero before s only when p'.y = 0) and distinct y give
     distinct x, so a vertex costs H dot products, not n.
     """
+    n = _point_count(q, k)
+    _check_edge_count(n * (n // q) // 2)  # n = q·H + 1
     pts = projective_points(q, k)
     field = GaloisField(q)
     index = {p: i for i, p in enumerate(pts)}
@@ -172,6 +186,7 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     if r > 0 and r >= n:
         raise GraphInputError(f"need r < n, got n={_show(n)}, r={_show(r)}")
     _check_vertex_count(n)
+    _check_edge_count(n * r // 2)
     rng = random.Random(seed)
     for _ in range(MAX_ATTEMPTS):
         edges = _pairing_attempt(n, r, rng)
@@ -221,6 +236,11 @@ def _pairing_attempt(n: int, r: int, rng: random.Random) -> list[tuple[int, int]
             tree.add(w, -1)
         total -= 2
     return edges
+
+
+def _check_edge_count(m: int) -> None:
+    if m > MAX_EDGES:
+        raise ResourceLimitError(f"graph has up to {_show(m)} edges (limit {MAX_EDGES})")
 
 
 class _Fenwick:

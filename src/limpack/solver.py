@@ -1,20 +1,34 @@
 """Exact solvers for packing and domination numbers, plus a brute-force oracle.
 
-One branch-and-bound engine, ``_maximize``, serves every exact solve of
-at most ``VERTEX_LIMIT`` vertices (it recurses once per vertex).  It
-finds the largest vertex set with at most 1 member on each c-edge and at
-most caps[v] members in each closed d-neighborhood N[v].  A k-limited
+One branch-and-bound engine, ``_maximize``, called from one front end,
+``_solve``, serves every exact solve of at most ``VERTEX_LIMIT``
+vertices (it recurses once per vertex).  It finds the largest vertex set
+with at most 1 member on each c-edge and at most caps[v] members in each
+closed d-neighborhood N[v].  A k-limited
 packing has no c-edges and cap k everywhere (a typed multigraph, cap 2).
 Domination is the same search on the complement: D is l-tuple
 dominating exactly when Y = V - D has at most |N[v]| - l members in
 every N[v], so the smallest D is V minus the largest such Y.
 
-The engine branches over a fixed vertex order, most constraints first
-(descending degree, ties by index), and keeps only strict improvements,
-so the witness is the first optimal set in branching order.  A packing
-tries "include" first.  Domination tries "exclude from Y" first, which
-is "include in D" first, so its witness is the lexicographically first
-smallest D in that order.
+The witness comes from a fixed vertex order, most constraints first
+(descending degree, ties by index): it is the first optimal set in
+branching order, the one a search that keeps only strict improvements
+ends with.  A packing tries "include" first.  Domination tries "exclude
+from Y" first, which is "include in D" first, so its witness is the
+lexicographically first smallest D in that order.
+
+When every vertex lies in the same number of constraints, that order is
+index order and ignores the graph.  If the BFS order (each component
+from its lowest unvisited vertex, c- then d-neighbours) differs from it,
+the solve takes two searches, and ``nodes_explored`` counts both:
+- the optimum, from an include-first search in BFS order;
+- the witness, from the fixed-order search with its own branch
+  direction, whose incumbent starts at optimum - 1 and which stops at
+  the first leaf of size optimum.
+That leaf is the same witness: each of its ancestors has a bound of at
+least optimum, so the raised incumbent prunes none of them, and no
+earlier leaf reaches optimum.  Every other instance takes the one
+fixed-order search.
 
 At each node, call the undecided vertices that can still be selected
 "live".  Every constraint c can take at most min(cap_c, live_c) more
@@ -58,7 +72,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_int, _check_positive
-from .graph import Graph, TypedMultigraph, serialize_packing
+from .graph import Graph, TypedMultigraph, bfs_levels, serialize_packing
 
 VERTEX_LIMIT = 64
 ORACLE_VERTEX_LIMIT = 20
@@ -81,7 +95,7 @@ class SolveResult:
 def max_k_limited(g: Graph, k: int) -> SolveResult:
     """Largest k-limited packing of g, with a verifying witness."""
     _check_positive("k", k)
-    return _maximize((), g.adj, [k] * g.n)
+    return _solve((), g.adj, [k] * g.n)
 
 
 def max_typed_two_limited(tm: TypedMultigraph) -> SolveResult:
@@ -90,7 +104,7 @@ def max_typed_two_limited(tm: TypedMultigraph) -> SolveResult:
     Same engine as max_k_limited: each c-edge is an at-most-1 constraint
     and each closed d-neighborhood an at-most-2 constraint.
     """
-    return _maximize(tm.c_adj, tm.d_adj, [2] * tm.n)
+    return _solve(tm.c_adj, tm.d_adj, [2] * tm.n)
 
 
 def min_tuple_dominating(g: Graph, l: int) -> SolveResult:
@@ -107,7 +121,7 @@ def min_tuple_dominating(g: Graph, l: int) -> SolveResult:
             f"no {l}-tuple dominating set exists: some vertex has only"
             f" {min(caps) + l} vertices in its closed neighborhood"
         )
-    kept = _maximize((), g.adj, caps, exclude_first=True)
+    kept = _solve((), g.adj, caps, exclude_first=True)
     dominating = sorted(set(range(g.n)).difference(kept.witness))
     return SolveResult(g.n - kept.optimum, tuple(dominating), kept.nodes_explored)
 
@@ -160,17 +174,55 @@ def _check_size(n: int) -> None:
         )
 
 
-def _maximize(
+class _Found(Exception):
+    """A search reached its target size."""
+
+
+def _solve(
     c_adj: Sequence[Sequence[int]],
     d_adj: Sequence[Sequence[int]],
     caps: list[int],
     exclude_first: bool = False,
 ) -> SolveResult:
-    """Branch and bound for the largest X with at most 1 member on each
-    c-edge and at most caps[v] >= 0 in each closed d-neighborhood N[v];
-    with `exclude_first`, each vertex is first left out, then taken."""
+    """`_maximize` in the fixed order, most constraints first, ties by
+    index; on a regular instance whose BFS order differs, the optimum
+    comes from an include-first search in BFS order, and the fixed-order
+    search then only looks for the first leaf of that size."""
     n = len(d_adj)
     _check_size(n)
+    size = [len(a) + 1 for a in d_adj]
+    for v, a in enumerate(c_adj):
+        size[v] += len(a)
+    order = sorted(range(n), key=lambda v: (-size[v], v))
+    if min(size, default=0) == max(size, default=0):
+        neighbors = (lambda v: c_adj[v] + d_adj[v]) if c_adj else d_adj.__getitem__
+        seen: dict[int, int] = {}
+        for root in range(n):
+            if root not in seen:
+                seen.update(bfs_levels(neighbors, root))
+        if list(seen) != order:
+            first = _maximize(c_adj, d_adj, caps, list(seen))
+            last = _maximize(c_adj, d_adj, caps, order, exclude_first, first.optimum)
+            nodes = first.nodes_explored + last.nodes_explored
+            return SolveResult(last.optimum, last.witness, nodes)
+    return _maximize(c_adj, d_adj, caps, order, exclude_first)
+
+
+def _maximize(
+    c_adj: Sequence[Sequence[int]],
+    d_adj: Sequence[Sequence[int]],
+    caps: list[int],
+    order: list[int],
+    exclude_first: bool = False,
+    target: Optional[int] = None,
+) -> SolveResult:
+    """Branch and bound for the largest X with at most 1 member on each
+    c-edge and at most caps[v] >= 0 in each closed d-neighborhood N[v],
+    deciding the vertices in `order`; with `exclude_first`, each vertex
+    is first left out, then taken.  Given the optimum as `target`, the
+    incumbent starts one below it and the search stops at the first leaf
+    that reaches it."""
+    n = len(d_adj)
     constraints = [[u, v] for u, nbrs in enumerate(c_adj) for v in nbrs if u < v]
     caps = [1] * len(constraints) + caps
     constraints += [[v, *nbrs] for v, nbrs in enumerate(d_adj)]
@@ -181,7 +233,6 @@ def _maximize(
     size = [len(cs) for cs in cons_of]
     smallest = min(size, default=1)
     most = max(size, default=1)
-    order = sorted(range(n), key=lambda v: (-size[v], v))
     rank = [0] * n
     for pos, v in enumerate(order):
         rank[v] = pos
@@ -199,7 +250,7 @@ def _maximize(
     by_size = [0] * (most + 1)
     addable = live_size = cap_sum = 0
 
-    best_size = -1
+    best_size = -1 if target is None else target - 1
     best_set: list[int] = []
     chosen: list[int] = []
     nodes = 0
@@ -235,6 +286,8 @@ def _maximize(
             if len(chosen) > best_size:
                 best_size = len(chosen)
                 best_set = sorted(chosen)
+                if best_size == target:
+                    raise _Found
             return
         fewest = smallest
         while not by_size[fewest]:
@@ -274,5 +327,8 @@ def _maximize(
             rec(pos + 1)
         restore(v)
 
-    rec(0)
+    try:
+        rec(0)
+    except _Found:
+        pass
     return SolveResult(best_size, tuple(best_set), nodes)

@@ -74,11 +74,16 @@ def _check_subset(vertices: Iterable[int], n: int) -> frozenset[int]:
     """The members as a set of vertices, each an int (not a bool) in range.
 
     The check runs on the set, where 1.0 or True beside an equal int 1
-    that comes first has already merged into it."""
+    that comes first has already merged into it.  Only a set that fails
+    the bulk test (every member's type is int, the least and the largest
+    are in range) is walked member by member, for the first offender."""
     xs = frozenset(vertices)
-    for v in xs:
-        if type(v) is not int or not 0 <= v < n:
-            _check_endpoint(v, n)  # raises the message for this member
+    # Sorting a set of ints costs less than taking its min and its max.
+    ordered = sorted(xs) if {*map(type, xs)} <= {int} else None
+    if ordered is None or ordered and not (0 <= ordered[0] and ordered[-1] < n):
+        for v in xs:
+            if type(v) is not int or not 0 <= v < n:
+                _check_endpoint(v, n)  # raises the message for this member
     return xs
 
 
@@ -106,7 +111,9 @@ def verify_tuple_dominating(g: Graph, vertices: Iterable[int], l: int) -> Verifi
     else:
         outside = closed_counts(g.adj, filterfalse(ds.__contains__, range(g.n)))
         counts = [len(a) + 1 - c for a, c in zip(g.adj, outside)]
-    violations = tuple(VertexViolation(v, c, l) for v, c in enumerate(counts) if c < l)
+    violations: tuple[VertexViolation, ...] = ()
+    if min(counts, default=l) < l:
+        violations = tuple(VertexViolation(v, c, l) for v, c in enumerate(counts) if c < l)
     return VerificationReport(not violations, violations)
 
 
@@ -127,7 +134,8 @@ def _verify_limited(
             CEdgeViolation(u, v) for u in sorted(xs) for v in c_adj[u] if u < v and v in xs
         ]
     counts = closed_counts(d_adj, xs)
-    violations += [VertexViolation(v, c, cap) for v, c in enumerate(counts) if c > cap]
+    if max(counts, default=0) > cap:
+        violations += [VertexViolation(v, c, cap) for v, c in enumerate(counts) if c > cap]
     return VerificationReport(not violations, tuple(violations))
 
 

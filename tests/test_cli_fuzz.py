@@ -177,3 +177,15 @@ def test_large_numbers_finish_in_time(tmp_path, argv, code):
         assert out.stderr.decode().splitlines() == [
             "error: graph has over 2^10000000001 vertices (limit 10000000)"
         ]
+
+
+def test_gen_copies_refuse_the_edge_limit(tmp_path):
+    """400 vertices and 11 368 edges per copy: 1760 copies pass the vertex
+    limit but hold over 2·10^7 edges, and are refused before any copy."""
+    argv = ["gen", "--family", "projective", "--q", "7", "--k", "2", "--copies", "1760"]
+    out = _run_capped([*argv, "--out", str(tmp_path / "g.graph")], timeout=20)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.decode().splitlines() == [
+        "error: graph has up to 20007680 edges (limit 20000000)"
+    ]
+    assert not (tmp_path / "g.graph").exists()
