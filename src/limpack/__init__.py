@@ -15,7 +15,6 @@ from .cubic import (
     ReductionTrace,
     brooks_three_coloring,
     construct_two_limited,
-    find_configuration_a,
 )
 from .errors import (
     GraphInputError,
@@ -37,11 +36,9 @@ from .graph import (
     DegreeStats,
     Graph,
     TypedMultigraph,
-    closed_neighborhood,
     connected_components,
     degree_stats,
     disjoint_union,
-    pairwise_distance,
     parse_graph,
     parse_packing,
     serialize_graph,
@@ -84,7 +81,6 @@ __all__ = [
     "ReductionTrace",
     "brooks_three_coloring",
     "construct_two_limited",
-    "find_configuration_a",
     "GraphInputError",
     "InfeasibleError",
     "InternalError",
@@ -100,11 +96,9 @@ __all__ = [
     "DegreeStats",
     "Graph",
     "TypedMultigraph",
-    "closed_neighborhood",
     "connected_components",
     "degree_stats",
     "disjoint_union",
-    "pairwise_distance",
     "parse_graph",
     "parse_packing",
     "serialize_graph",

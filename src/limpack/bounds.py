@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GraphInputError, _check_int, _check_number, _check_positive, _show
+from .errors import GraphInputError, _check_arg, _show
 
 Value = Union[Fraction, float]
 
@@ -110,12 +110,10 @@ def bound_sheet(
     true average when it is known.  It must lie in [min_degree, max_degree],
     as a graph's average degree does.
     """
-    _check_int("n", n)
-    _check_int("max_degree", max_degree)
-    _check_int("min_degree", min_degree)
-    _check_positive("k", k)
-    if n < 0:
-        raise GraphInputError(f"n must be nonnegative, got {_show(n)}")
+    _check_arg("n", n, 0)
+    _check_arg("max_degree", max_degree)
+    _check_arg("min_degree", min_degree)
+    _check_arg("k", k, 1)
     if max_degree < min_degree or min_degree < 0:
         raise GraphInputError(
             f"need max_degree >= min_degree >= 0, got {_show(max_degree)}, {_show(min_degree)}"
@@ -123,12 +121,7 @@ def bound_sheet(
     if max(n * k, max_degree) > sys.float_info.max:
         raise GraphInputError(f"n*k and max_degree must be at most {sys.float_info.max!r}")
     if avg_degree is not None:
-        _check_number("avg_degree", avg_degree)
-        if not min_degree <= avg_degree <= max_degree:  # nan fails both
-            raise GraphInputError(
-                f"avg_degree must lie in [min_degree, max_degree] = [{min_degree},"
-                f" {max_degree}], got {_show(avg_degree)}"
-            )
+        _check_arg("avg_degree", avg_degree, min_degree, max_degree, number=True)
     d = float(min_degree) if avg_degree is None else float(avg_degree)
 
     exact_value = n if k > max_degree else None

@@ -388,11 +388,6 @@ def construct_two_limited(tm: Graph | TypedMultigraph) -> tuple[frozenset[int], 
     return frozenset(chosen), ReductionTrace(tuple(steps))
 
 
-def find_configuration_a(tm: TypedMultigraph) -> Optional[ConfigurationA]:
-    """First occurrence of configuration A in lexicographic search order."""
-    return _find_config_a(_State(tm), range(tm.n))
-
-
 def _reduce_component(st: _State, piece: _Piece) -> _Step:
     """The reduction the induction applies to connected component `piece`."""
     n = piece.size

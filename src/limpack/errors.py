@@ -1,4 +1,4 @@
-"""Exception types shared by all limpack modules, and their argument checks.
+"""Exception types shared by all limpack modules, and the one argument check.
 
 The CLI maps these onto exit codes: input and precondition problems are
 exit 3, resource limits exit 3, infeasibility exit 1, and a broken
@@ -40,24 +40,28 @@ def _show(value: object) -> object:
     return value
 
 
-def _check_int(name: str, value: int) -> None:
-    """Every count a caller passes (a limit k or l, a vertex count, a field
-    order, a degree, a round budget) and every seed is an exact int, not a
-    bool."""
-    if type(value) is not int:
-        raise GraphInputError(f"{name} must be an int, got {value!r}")
+def _check_arg(
+    name: str,
+    value: float,
+    low: float | None = None,
+    high: float | None = None,
+    number: bool = False,
+) -> None:
+    """The check of one argument, made once by the public entry it is
+    passed to.
 
-
-def _check_number(name: str, value: float) -> None:
-    """Every rate p and average degree a caller passes is an int or a
-    float, not a bool or a string."""
-    if type(value) not in (int, float):
-        raise GraphInputError(f"{name} must be a number, got {value!r}")
-
-
-def _check_positive(name: str, value: int) -> None:
-    """Every limit k or l of a packing or domination problem is an int of
-    at least 1."""
-    _check_int(name, value)
-    if value < 1:
-        raise GraphInputError(f"{name} must be positive, got {_show(value)}")
+    The type comes first: an exact int, not a bool, or for a rate or an
+    average degree (`number`) an int or a float.  Then, when `low` is
+    given, the inclusive range [low, high] (no upper end without `high`),
+    compared before any float is formed, so a huge int is never converted
+    and a nan fails.  A lower end of 0 or 1 alone reads "nonnegative" or
+    "positive"."""
+    if type(value) is not int and not (number and type(value) is float):
+        kind = "a number" if number else "an int"
+        raise GraphInputError(f"{name} must be {kind}, got {value!r}")
+    if low is not None and not (low <= value and (high is None or value <= high)):
+        if high is not None:
+            bound = f"lie in [{_show(low)}, {_show(high)}]"
+        else:
+            bound = {0: "be nonnegative", 1: "be positive"}.get(low, f"be at least {low}")
+        raise GraphInputError(f"{name} must {bound}, got {_show(value)}")

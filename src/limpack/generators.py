@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .errors import GraphInputError, ResourceLimitError, _check_int, _show
+from .errors import GraphInputError, ResourceLimitError, _check_arg, _show
 from .graph import MAX_VERTICES, Graph, _check_vertex_count
 
 MAX_ATTEMPTS = 1000
@@ -42,12 +42,13 @@ class GaloisField:
     """
 
     def __init__(self, q: int):
+        _check_arg("q", q)
         self.q = q
         self._prime = _is_prime(q)
         if not self._prime:
             if q not in _PRIME_POWER_FIELDS:
                 raise GraphInputError(
-                    f"unsupported field order {q}: q must be prime or one of"
+                    f"unsupported field order {_show(q)}: q must be prime or one of"
                     f" {sorted(_PRIME_POWER_FIELDS)}"
                 )
             self._add, self._mul = _build_tables(*_PRIME_POWER_FIELDS[q])
@@ -96,16 +97,16 @@ def projective_points(q: int, k: int) -> list[tuple[int, ...]]:
 def _point_count(q: int, k: int) -> int:
     """The point count of projective_points(q, k), once q and k are checked
     and the count is within the vertex limit."""
-    _check_int("q", q)
-    _check_int("k", k)
-    if k < 1:
-        raise GraphInputError(f"k must be at least 1, got {_show(k)}")
+    _check_arg("q", q)
+    _check_arg("k", k, 1)
     if q >= 2:  # before GaloisField's primality test, which takes sqrt(q) steps
         # log2 of the point count is at least `low`: past 2^16 bits, refuse
         # from it rather than form q^(k+2) (over 1 GiB for q = 2, k = 10^10)
         low = (k + 1) * (q.bit_length() - 1)
         if low > 2**16:
-            raise ResourceLimitError(f"graph has over 2^{low} vertices (limit {MAX_VERTICES})")
+            raise ResourceLimitError(
+                f"graph has over 2^{_show(low)} vertices (limit {MAX_VERTICES})"
+            )
         count = (q ** (k + 2) - 1) // (q - 1)
         _check_vertex_count(count)
     GaloisField(q)  # validates q
@@ -142,9 +143,7 @@ def gen_projective(q: int, k: int) -> Graph:
 
 def gen_cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
-    _check_int("n", n)
-    if n < 3:
-        raise GraphInputError(f"a cycle needs at least 3 vertices, got {_show(n)}")
+    _check_arg("n", n, 3)
     _check_vertex_count(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -176,11 +175,9 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     attempt, and MAX_ATTEMPTS dead ends raise ResourceLimitError.
     Deterministic for a fixed seed.  An attempt takes O(n r^2 log n) time.
     """
-    _check_int("n", n)
-    _check_int("r", r)
-    _check_int("seed", seed)
-    if n < 0 or r < 0:
-        raise GraphInputError(f"n and r must be nonnegative, got n={_show(n)}, r={_show(r)}")
+    _check_arg("n", n, 0)
+    _check_arg("r", r, 0)
+    _check_arg("seed", seed)
     if n * r % 2 != 0:
         raise GraphInputError(f"n*r must be even, got n={_show(n)}, r={_show(r)}")
     if r > 0 and r >= n:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import GraphInputError, ResourceLimitError, _check_int, _show
+from .errors import GraphInputError, ResourceLimitError, _check_arg, _show
 
 # The most vertices of any graph limpack builds, checked before the adjacency
 # is allocated: building costs about 70 bytes per vertex even with no edges.
@@ -47,8 +47,8 @@ class Graph:
         Raises GraphInputError for a non-int or negative n, bad endpoints, or
         self-loops, and ResourceLimitError for n over MAX_VERTICES.
         """
-        _check_int("n", n)
-        if n < 0:
+        _check_arg("n", n)
+        if n < 0:  # worded as the frozen copy in tests/reference_parse.py words it
             raise GraphInputError(f"vertex count must be nonnegative, got {_show(n)}")
         edges = list(edges)
         for u, v in edges:
@@ -66,15 +66,12 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         _check_endpoint(u, self.n)
+        _check_endpoint(v, self.n)
         return v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    @property
-    def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ class TypedMultigraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int, str]]) -> "TypedMultigraph":
-        _check_int("n", n)
+        _check_arg("n", n)
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {_show(n)}")
         ends: dict[str, list[int]] = {"c": [], "d": []}
@@ -114,11 +111,6 @@ class TypedMultigraph:
         _check_endpoint(v, self.n)
         return len(self.c_adj[v]) + len(self.d_adj[v])
 
-    def closed_d_neighborhood(self, v: int) -> set[int]:
-        """{v} plus v's d-neighbors; c-edges contribute nothing."""
-        _check_endpoint(v, self.n)
-        return {v} | set(self.d_adj[v])
-
     def edges(self) -> list[tuple[int, int, str]]:
         """All edges as (u, v, type) with u < v, sorted; c before d per pair."""
         out = [(u, v, "c") for u in range(self.n) for v in self.c_adj[u] if u < v]
@@ -132,11 +124,6 @@ class DegreeStats(NamedTuple):
     min_degree: int
     vertex_count: int
     edge_count: int
-
-
-def closed_neighborhood(g: Graph, v: int) -> set[int]:
-    """{v} together with v's neighbors; size is deg(v) + 1."""
-    return {v} | set(g.neighbors(v))
 
 
 def closed_counts(adj: tuple[tuple[int, ...], ...], xs: Iterable[int]) -> list[int]:
@@ -168,13 +155,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
         shift = len(adj)
         adj += [tuple(u + shift for u in nbrs) for nbrs in g.adj] if shift else g.adj
     return Graph(len(adj), tuple(adj))
-
-
-def pairwise_distance(g: Graph, u: int, v: int) -> Optional[int]:
-    """BFS edge distance from u to v, or None if unreachable."""
-    _check_endpoint(u, g.n)
-    _check_endpoint(v, g.n)
-    return bfs_levels(g.adj.__getitem__, u).get(v)
 
 
 def bfs_levels(

@@ -11,13 +11,13 @@ at least n/(max_degree^2 + 1) vertices.
 
 from __future__ import annotations
 
-from .errors import _check_positive
+from .errors import _check_arg
 from .graph import Graph
 
 
 def greedy_packing(g: Graph, k: int) -> frozenset[int]:
     """The greedy k-limited packing: the lowest addable vertex first."""
-    _check_positive("k", k)
+    _check_arg("k", k, 1)
     adj = g.adj
     caps = [k] * g.n
     blocked = bytearray(g.n)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .bounds import _sampling_base
-from .errors import GraphInputError, _check_int, _check_number, _check_positive, _show
+from .errors import GraphInputError, _check_arg
 from .graph import Graph, closed_counts, degree_stats
 from .verify import Packing
 
@@ -94,10 +94,8 @@ def lll_parameters(max_degree: int, k: int) -> LLLParameters:
     1 becomes 1; log log D is undefined for D <= e, which also clamps
     epsilon1.
     """
-    _check_int("max_degree", max_degree)
-    if max_degree < 2:
-        raise GraphInputError(f"max_degree must be at least 2, got {_show(max_degree)}")
-    _check_positive("k", k)
+    _check_arg("max_degree", max_degree, 2)
+    _check_arg("k", k, 1)
     if k * max_degree > sys.float_info.max:
         raise GraphInputError(f"k*max_degree must be at most {sys.float_info.max!r}")
     loglog = math.log(math.log(max_degree))
@@ -117,14 +115,10 @@ def auto_sample_rate(max_degree: int, k: int) -> float:
     expected yield of sampling followed by repair; for k > D the packing
     is all of V and the rate is 1.
     """
-    _check_int("max_degree", max_degree)
-    _check_positive("k", k)
-    if max_degree < 0:
-        raise GraphInputError(f"max_degree must be nonnegative, got {_show(max_degree)}")
+    _check_arg("max_degree", max_degree, 0, sys.float_info.max)
+    _check_arg("k", k, 1)
     if k > max_degree:
         return 1.0
-    if max_degree > sys.float_info.max:
-        raise GraphInputError(f"max_degree must be at most {sys.float_info.max!r}")
     return _sampling_base(max_degree, k)[1]
 
 
@@ -140,12 +134,10 @@ def sample_and_repair(
     always ends with a verifying set; identical inputs and seed give
     identical reports.
     """
-    _check_positive("k", k)
-    _check_int("seed", seed)
+    _check_arg("k", k, 1)
+    _check_arg("seed", seed)
     if p is not None:
-        _check_number("p", p)
-        if not 0 <= p <= 1:  # before float(p), which overflows on a huge int
-            raise GraphInputError(f"p must lie in [0, 1], got {_show(p)}")
+        _check_arg("p", p, 0, 1, number=True)
     rate = auto_sample_rate(degree_stats(g).max_degree, k) if p is None else float(p)
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < rate}
@@ -164,7 +156,7 @@ def sample_and_repair(
     )
 
 
-def resample_step(
+def _resample_step(
     g: Graph, chosen: set[int], v: int, p: float, rng: random.Random
 ) -> list[int]:
     """Resample membership of every vertex of N[v] independently at rate p.
@@ -210,21 +202,18 @@ def lll_resample(
     (0, 1]); the report carries them.  Success reports record whether
     |X| >= (1-epsilon2)*n*p.
     """
-    _check_positive("k", k)
-    _check_int("max_rounds", max_rounds)
-    _check_int("seed", seed)
-    if max_rounds < 1:
-        raise GraphInputError(f"max_rounds must be at least 1, got {_show(max_rounds)}")
+    _check_arg("k", k, 1)
+    _check_arg("max_rounds", max_rounds, 1)
+    _check_arg("seed", seed)
     params = default_lll_parameters(g, k)
     if p is not None:
-        _check_number("p", p)
+        # (0, 1] as an inclusive range: the least positive float is the least p
+        _check_arg("p", p, math.ulp(0.0), 1, number=True)
         params = replace(params, p=p)
-    if not (0.0 < params.p <= 1.0):
-        raise GraphInputError(f"p must lie in (0, 1], got {_show(params.p)}")
     rng = random.Random(seed)
     chosen = {v for v in range(g.n) if rng.random() < params.p}
     rounds, _, success = _fix_overfull(
-        g, k, chosen, lambda v: resample_step(g, chosen, v, params.p, rng), max_rounds
+        g, k, chosen, lambda v: _resample_step(g, chosen, v, params.p, rng), max_rounds
     )
     size_ok = len(chosen) >= (1.0 - params.epsilon2) * g.n * params.p if success else None
     return RandomRunReport(

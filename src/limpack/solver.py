@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_int, _check_positive
+from .errors import GraphInputError, InfeasibleError, ResourceLimitError, _check_arg, _show
 from .graph import Graph, TypedMultigraph, bfs_levels, serialize_packing
 
 VERTEX_LIMIT = 64
@@ -94,7 +94,7 @@ class SolveResult:
 
 def max_k_limited(g: Graph, k: int) -> SolveResult:
     """Largest k-limited packing of g, with a verifying witness."""
-    _check_positive("k", k)
+    _check_arg("k", k, 1)
     return _solve((), g.adj, [k] * g.n)
 
 
@@ -113,12 +113,12 @@ def min_tuple_dominating(g: Graph, l: int) -> SolveResult:
     Feasible only when l <= min_degree + 1; solved as the complement
     packing (caps |N[v]| - l), so it also works on non-regular graphs.
     """
-    _check_positive("l", l)
+    _check_arg("l", l, 1)
     _check_size(g.n)
     caps = [len(a) + 1 - l for a in g.adj]
     if min(caps, default=0) < 0:
         raise InfeasibleError(
-            f"no {l}-tuple dominating set exists: some vertex has only"
+            f"no {_show(l)}-tuple dominating set exists: some vertex has only"
             f" {min(caps) + l} vertices in its closed neighborhood"
         )
     kept = _solve((), g.adj, caps, exclude_first=True)
@@ -135,14 +135,14 @@ def enumerate_oracle(
     """Exhaustive scan over all subsets; no pruning; test use only (n <= 20)."""
     for name, value in (("k", k), ("l", l)):
         if value is not None:
-            _check_int(name, value)
+            _check_arg(name, value, 1)
     if g.n > ORACLE_VERTEX_LIMIT:
         raise ResourceLimitError(
             f"enumerate_oracle is limited to {ORACLE_VERTEX_LIMIT} vertices, got {g.n}"
         )
     masks = [(1 << v) | sum(1 << u for u in g.adj[v]) for v in range(g.n)]
     if mode == "packing":
-        if k is None or k < 1:
+        if k is None:
             raise GraphInputError("packing mode needs a positive k")
         best = 0
         for s in range(1 << g.n):
@@ -152,7 +152,7 @@ def enumerate_oracle(
                     best = size
         return best
     if mode == "domination":
-        if l is None or l < 1:
+        if l is None:
             raise GraphInputError("domination mode needs a positive l")
         best = None
         for s in range(1 << g.n):
@@ -161,7 +161,7 @@ def enumerate_oracle(
                 if best is None or size < best:
                     best = size
         if best is None:
-            raise InfeasibleError(f"no {l}-tuple dominating set exists")
+            raise InfeasibleError(f"no {_show(l)}-tuple dominating set exists")
         return best
     raise GraphInputError(f"unknown oracle mode {mode!r} (packing or domination)")
 

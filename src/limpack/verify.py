@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterable, Union
 
-from .errors import GraphInputError, PreconditionError, _check_int, _check_positive, _show
+from .errors import GraphInputError, PreconditionError, _check_arg, _show
 from .graph import Graph, TypedMultigraph, _check_endpoint, closed_counts
 
 Violation = Union["VertexViolation", "CEdgeViolation"]
@@ -89,7 +89,7 @@ def _check_subset(vertices: Iterable[int], n: int) -> frozenset[int]:
 
 def verify_k_limited(g: Graph, vertices: Iterable[int], k: int) -> VerificationReport:
     """Check |N[v] ∩ X| <= k for every vertex, listing all offenders."""
-    _check_positive("k", k)
+    _check_arg("k", k, 1)
     return _verify_limited(g.n, (), g.adj, vertices, k)
 
 
@@ -104,7 +104,7 @@ def verify_tuple_dominating(g: Graph, vertices: Iterable[int], l: int) -> Verifi
 
     Whichever of D and V \\ D is smaller is counted, O(min(|D|, n - |D|)·Δ)
     plus O(n); the complement gives |N[v] ∩ D| = deg(v) + 1 - |N[v] \\ D|."""
-    _check_positive("l", l)
+    _check_arg("l", l, 1)
     ds = _check_subset(vertices, g.n)
     if 2 * len(ds) <= g.n:
         counts = closed_counts(g.adj, ds)
@@ -145,7 +145,7 @@ def dual_complement(g: Graph, vertices: Iterable[int], k: int) -> frozenset[int]
     On an r-regular graph, X is a valid k-limited packing exactly when
     V \\ X is a valid (r+1-k)-tuple dominating set.  Requires 1 <= k <= r+1.
     """
-    _check_int("k", k)
+    _check_arg("k", k)
     xs = _check_subset(vertices, g.n)
     if g.n == 0:
         raise PreconditionError("dual_complement needs a nonempty regular graph")

@@ -4,8 +4,16 @@ drive the constructive algorithm through each of its special subcases."""
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from limpack import Graph, TypedMultigraph, gen_random_regular
+from limpack import ConfigurationA, Graph, TypedMultigraph, gen_random_regular
+from limpack.cubic import _find_config_a, _State
+
+
+def find_configuration_a(tm: TypedMultigraph) -> Optional[ConfigurationA]:
+    """The first configuration A in lexicographic search order, as the
+    construction's own search finds it."""
+    return _find_config_a(_State(tm), range(tm.n))
 
 
 def random_typed_multigraph(seed: int, n: int) -> TypedMultigraph:

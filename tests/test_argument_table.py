@@ -92,9 +92,6 @@ ROWS = [
     ("gen_random_regular", "n", lambda x: gen_random_regular(x, 0, 1), "0"),
     ("gen_random_regular", "r", lambda x: gen_random_regular(6, x, 1), "0"),
     ("gen_random_regular", "seed", lambda x: gen_random_regular(6, 3, x), ANY_INT),
-    ("closed_neighborhood", "v", lambda x: limpack.closed_neighborhood(C5, x), "0"),
-    ("pairwise_distance", "u", lambda x: limpack.pairwise_distance(C5, x, 0), "0"),
-    ("pairwise_distance", "v", lambda x: limpack.pairwise_distance(C5, 0, x), "0"),
     ("Graph.from_edges", "n", lambda x: Graph.from_edges(x, []), "0"),
     ("Graph.neighbors", "v", C5.neighbors, "0"),
     ("Graph.degree", "v", C5.degree, "0"),

@@ -9,7 +9,6 @@ from limpack import (
     brooks_three_coloring,
     construct_two_limited,
     disjoint_union,
-    find_configuration_a,
     gen_cycle,
     gen_named,
     gen_random_regular,
@@ -88,7 +87,7 @@ def test_parallel_c_and_d_edges_supported():
 
 def test_configuration_a_detection():
     tm = corpus.configuration_a_graph()
-    cfg = find_configuration_a(tm)
+    cfg = corpus.find_configuration_a(tm)
     assert cfg is not None
     # five c-edges with the bd pair missing, in whatever orientation found
     c = {tuple(sorted(p)) for p in [(cfg.c, cfg.a), (cfg.c, cfg.d), (cfg.c, cfg.b), (cfg.a, cfg.d), (cfg.a, cfg.b)]}
@@ -101,12 +100,12 @@ def test_configuration_a_detection():
 
 
 def test_configuration_a_absent():
-    assert find_configuration_a(all_d(gen_cycle(6))) is None
+    assert corpus.find_configuration_a(all_d(gen_cycle(6))) is None
     # K4 minus an edge in c-edges but no attached u, v
     tm = TypedMultigraph.from_edges(
         4, [(0, 1, "c"), (0, 2, "c"), (0, 3, "c"), (1, 2, "c"), (1, 3, "c")]
     )
-    assert find_configuration_a(tm) is None
+    assert corpus.find_configuration_a(tm) is None
 
 
 def test_configuration_a_reduction():

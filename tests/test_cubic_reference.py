@@ -15,7 +15,6 @@ from limpack import (
     Graph,
     TypedMultigraph,
     construct_two_limited,
-    find_configuration_a,
     gen_random_regular,
 )
 from limpack.errors import LimpackError
@@ -31,7 +30,7 @@ def _outcome(construct, find, tm: TypedMultigraph):
 
 
 def _assert_same(tm: TypedMultigraph) -> None:
-    ours = _outcome(construct_two_limited, find_configuration_a, tm)
+    ours = _outcome(construct_two_limited, corpus.find_configuration_a, tm)
     assert ours == _outcome(ref.construct_two_limited, ref.find_configuration_a, tm)
 
 

@@ -13,17 +13,16 @@ from limpack import (
     Graph,
     GraphInputError,
     ResourceLimitError,
-    closed_neighborhood,
     connected_components,
     degree_stats,
     gen_cycle,
     gen_named,
     gen_projective,
     gen_random_regular,
-    pairwise_distance,
     projective_points,
     serialize_graph,
 )
+from limpack.graph import bfs_levels
 
 
 def two_coloring_parts(g: Graph):
@@ -77,7 +76,7 @@ def test_petersen_structure(petersen):
         if not petersen.has_edge(u, v):
             assert len(set(petersen.adj[u]) & set(petersen.adj[v])) <= 1
     assert max(
-        pairwise_distance(petersen, u, v) for u, v in combinations(range(10), 2)
+        bfs_levels(petersen.neighbors, u).get(v) for u, v in combinations(range(10), 2)
     ) == 2
 
 
@@ -98,7 +97,7 @@ def test_random_regular_contract():
     cycles = gen_random_regular(12, 2, seed=9)
     assert all(cycles.degree(v) == 2 for v in range(12))
     assert gen_random_regular(10, 3, seed=4) == gen_random_regular(10, 3, seed=4)
-    assert gen_random_regular(200, 10, seed=0).m == 1000
+    assert degree_stats(gen_random_regular(200, 10, seed=0)).edge_count == 1000
 
 
 def test_random_regular_infeasible_exhausts(monkeypatch):
@@ -189,7 +188,7 @@ def test_hyperplane_cover(q, k):
     """Every k+1 vertices have a common adjacent-or-equal vertex."""
     g = gen_projective(q, k)
     for group in combinations(range(g.n), k + 1):
-        covered = set.intersection(*(closed_neighborhood(g, v) for v in group))
+        covered = set.intersection(*({v, *g.adj[v]} for v in group))
         assert covered, group
 
 

@@ -7,36 +7,43 @@ from limpack import (
     Graph,
     GraphInputError,
     TypedMultigraph,
-    closed_neighborhood,
     connected_components,
     degree_stats,
     disjoint_union,
     gen_cycle,
     gen_named,
     gen_random_regular,
-    pairwise_distance,
     parse_graph,
     parse_packing,
     serialize_graph,
 )
+from limpack.graph import bfs_levels
+
+
+def _distance(g: Graph, u: int, v: int):
+    """BFS edge distance from u to v, or None if unreachable; both must be
+    vertices of g."""
+    g.neighbors(v)
+    return bfs_levels(g.neighbors, u).get(v)
 
 
 def test_closed_neighborhood_cycle():
-    assert closed_neighborhood(gen_cycle(4), 0) == {3, 0, 1}
+    g = gen_cycle(4)
+    assert {0, *g.adj[0]} == {3, 0, 1}
 
 
 def test_closed_neighborhood_isolated():
-    assert closed_neighborhood(Graph.from_edges(1, []), 0) == {0}
+    assert {0, *Graph.from_edges(1, []).adj[0]} == {0}
 
 
 def test_closed_neighborhood_petersen(petersen):
     for v in range(10):
-        assert len(closed_neighborhood(petersen, v)) == 4
+        assert len({v, *petersen.adj[v]}) == 4
 
 
 def test_closed_neighborhood_out_of_range():
     with pytest.raises(GraphInputError):
-        closed_neighborhood(gen_cycle(3), 3)
+        gen_cycle(3).neighbors(3)
 
 
 def test_degree_stats_examples(petersen):
@@ -50,20 +57,21 @@ def test_degree_stats_examples(petersen):
 def test_disjoint_union_counts(h6):
     c3 = gen_cycle(3)
     u = disjoint_union(c3, c3)
-    assert (u.n, u.m) == (6, 6)
+    assert (u.n, degree_stats(u).edge_count) == (6, 6)
     assert len(connected_components(u)) == 2
     hh = disjoint_union(h6, h6)
-    assert (hh.n, hh.m) == (12, 18)
+    assert (hh.n, degree_stats(hh).edge_count) == (12, 18)
     k1 = Graph.from_edges(1, [])
     same = disjoint_union(k1, Graph.from_edges(0, []))
-    assert (same.n, same.m) == (1, 0)
+    assert (same.n, degree_stats(same).edge_count) == (1, 0)
 
 
 def test_disjoint_union_additive_and_associative_counts(h6, petersen):
     a, b, c = gen_cycle(5), h6, petersen
     left = disjoint_union(disjoint_union(a, b), c)
     right = disjoint_union(a, disjoint_union(b, c))
-    assert (left.n, left.m) == (right.n, right.m) == (a.n + b.n + c.n, a.m + b.m + c.m)
+    m = [degree_stats(g).edge_count for g in (left, right, a, b, c)]
+    assert (left.n, m[0]) == (right.n, m[1]) == (a.n + b.n + c.n, m[2] + m[3] + m[4])
     assert sorted(map(len, connected_components(left))) == sorted(
         map(len, connected_components(right))
     )
@@ -83,17 +91,17 @@ def test_disjoint_union_of_many_equals_chained_pairs(h6, petersen):
 
 def test_pairwise_distance():
     c6 = gen_cycle(6)
-    assert pairwise_distance(c6, 0, 3) == 3
-    assert pairwise_distance(c6, 2, 2) == 0
+    assert _distance(c6, 0, 3) == 3
+    assert _distance(c6, 2, 2) == 0
     two = disjoint_union(gen_cycle(3), gen_cycle(3))
-    assert pairwise_distance(two, 0, 4) is None
+    assert _distance(two, 0, 4) is None
     with pytest.raises(GraphInputError):
-        pairwise_distance(c6, 0, 6)
+        _distance(c6, 0, 6)
 
 
 def test_petersen_diameter_two(petersen):
     dists = [
-        pairwise_distance(petersen, u, v) for u in range(10) for v in range(u + 1, 10)
+        _distance(petersen, u, v) for u in range(10) for v in range(u + 1, 10)
     ]
     assert all(d is not None and d <= 2 for d in dists)
     assert max(dists) == 2
@@ -104,10 +112,10 @@ def test_distance_symmetry_and_triangle_inequality(petersen, h6):
     for g in (petersen, h6, gen_cycle(9)):
         for _ in range(30):
             u, v, w = (rng.randrange(g.n) for _ in range(3))
-            duv = pairwise_distance(g, u, v)
-            assert duv == pairwise_distance(g, v, u)
-            duw = pairwise_distance(g, u, w)
-            dwv = pairwise_distance(g, w, v)
+            duv = _distance(g, u, v)
+            assert duv == _distance(g, v, u)
+            duw = _distance(g, u, w)
+            dwv = _distance(g, w, v)
             if duw is not None and dwv is not None:
                 assert duv is not None and duv <= duw + dwv
 
@@ -115,7 +123,7 @@ def test_distance_symmetry_and_triangle_inequality(petersen, h6):
 def test_parse_c3():
     g = parse_graph("3 3\n0 1\n1 2\n2 0\n")
     assert isinstance(g, Graph)
-    assert g.n == 3 and g.m == 3
+    assert g.n == 3 and degree_stats(g).edge_count == 3
 
 
 def test_parse_typed_parallel_edges():
@@ -149,7 +157,7 @@ def test_parse_errors_report_line_numbers():
 
 def test_parse_comments_and_blank_lines():
     g = parse_graph("# cycle\n\n3 3\n0 1\n# middle\n1 2\n2 0\n")
-    assert isinstance(g, Graph) and g.m == 3
+    assert isinstance(g, Graph) and degree_stats(g).edge_count == 3
 
 
 def test_parse_indented_comments_and_crlf():
@@ -169,7 +177,7 @@ def test_parse_range_error_wins_over_bad_type():
 
 def test_duplicate_edges_are_dropped():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
-    assert g.m == 1
+    assert degree_stats(g).edge_count == 1
     tm = TypedMultigraph.from_edges(2, [(0, 1, "c"), (1, 0, "c"), (0, 1, "d")])
     assert tm.c_adj[0] == (1,) and tm.d_adj[0] == (1,)
 
@@ -190,7 +198,7 @@ def test_round_trip_is_stable(h6):
 def test_neighborhood_size_matches_degree(small_corpus):
     for _, g in small_corpus:
         for v in range(g.n):
-            assert len(closed_neighborhood(g, v)) == g.degree(v) + 1
+            assert len({v, *g.adj[v]}) == g.degree(v) + 1
 
 
 def test_from_edges_validation():
@@ -220,7 +228,7 @@ def test_typed_promotion(h6):
     tm = TypedMultigraph.from_graph(h6)
     assert tm.n == 6
     assert all(not tm.c_adj[v] for v in range(6))
-    assert tm.closed_d_neighborhood(0) == {0, 1, 3, 5}
+    assert {0, *tm.d_adj[0]} == {0, 1, 3, 5}
 
 
 def test_parse_packing():

@@ -26,6 +26,8 @@ NUMBERS = ["0", "1", "2", "3", "4", "5", "7", "-1", "1.5", "x", "+2", "007", "10
 TYPES = ["c", "d"] * 12 + ["x", "#", "#c", "e", "cd", "D"]
 SEPS = [" ", " ", "  ", "\t", "\xa0", " \t "]
 COMMENTS = ["", "   ", "\t", "#", "# note", "  # indented", "\t#tab", "#c", "\xa0# nbsp"]
+# every line boundary of str.splitlines, which the frozen reader walks
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def _outcome(call, *args):
@@ -131,6 +133,29 @@ def test_parse_graph_matches_reference():
         kinds.add(new[0].__name__)
     # the texts reach both graph classes and both error classes
     assert kinds == {"Graph", "TypedMultigraph", "GraphInputError", "ResourceLimitError"}
+
+
+def test_parse_graph_matches_reference_on_every_line_break():
+    """Each text's lines are joined by one boundary, or by a mix of all of
+    them, and a boundary also lands inside a line now and then: a reader
+    that walks the lines itself must end them exactly where
+    ``str.splitlines`` does, and number them the same."""
+    rng = random.Random(SEED + 1)
+    for brk in [*BREAKS, None]:
+        kinds = set()
+        for _ in range(CASES // 10):
+            lines = _graph_text(rng).splitlines()
+            if rng.random() < 0.2 and lines:
+                i = rng.randrange(len(lines))
+                j = rng.randrange(len(lines[i]) + 1)
+                lines[i] = lines[i][:j] + rng.choice(BREAKS) + lines[i][j:]
+            text = "".join(line + (brk or rng.choice(BREAKS)) for line in lines)
+            new = _outcome(parse_graph, text)
+            assert new == _outcome(ref.parse_graph, text), text
+            count = _outcome(lambda t: read_edge_lines(t)[0], text)
+            assert count == _outcome(lambda t: ref.read_edge_lines(t)[0], text), text
+            kinds.add(new[0].__name__)
+        assert {"Graph", "TypedMultigraph", "GraphInputError"} <= kinds, brk
 
 
 def test_parse_packing_matches_reference():

@@ -14,11 +14,11 @@ from limpack import (
     greedy_packing,
     lll_parameters,
     lll_resample,
-    pairwise_distance,
     sample_and_repair,
     verify_k_limited,
 )
-from limpack.randomized import resample_step
+from limpack.graph import bfs_levels
+from limpack.randomized import _resample_step
 
 
 def test_lll_parameters_clamped_case():
@@ -185,10 +185,11 @@ def test_resample_dependency_radius():
 
     for v in (0, 7, 19):
         before = counts()
-        resample_step(g, chosen, v, 0.4, random.Random(99))
+        _resample_step(g, chosen, v, 0.4, random.Random(99))
         after = counts()
+        dists = bfs_levels(g.neighbors, v)
         for w in range(30):
-            dist = pairwise_distance(g, v, w)
+            dist = dists.get(w)
             if dist is not None and dist >= 3:
                 assert before[w] == after[w]
 

@@ -179,7 +179,7 @@ def test_scale_smoke():
     """Sizes the quadratic seed code needed minutes for; no timing asserted."""
     g = gen_random_regular(100_000, 3, seed=1)
     stats = degree_stats(g)
-    assert (stats.min_degree, stats.max_degree, g.m) == (3, 3, 150_000)
+    assert (stats.min_degree, stats.max_degree, stats.edge_count) == (3, 3, 150_000)
     assert verify_k_limited(g, frozenset(range(g.n)), 4).valid
     report = lll_resample(g, 2, seed=1)
     assert report.success
