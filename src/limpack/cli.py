@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_solve = sub.add_parser("solve", help="exact optimum by branch and bound")
-    p_solve.add_argument("--exact", action="store_true", help="accepted for clarity; solves are always exact")
     p_solve.add_argument("--dominating", action="store_true")
     p_solve.add_argument("--l", type=int)
     p_solve.add_argument("--k", type=int, help="packing limit; not used with --dominating")
@@ -215,12 +214,14 @@ def _cmd_construct(args) -> int:
         if args.k != 2:
             raise _UsageError("construct --method cubic2 requires --k 2")
         g = _read_graph(args.file)
+    elif args.trace:
+        raise _UsageError("construct --trace needs --method cubic2")
     else:
         g = _plain_graph(_read_graph(args.file), args.file, f"construct --method {args.method}")
     chosen, report_lines, success, trace = _construct(
         args.method, g, args.k, args.seed, args.p, args.max_rounds
     )
-    if args.trace and trace is not None:
+    if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_text())
     print(f"size: {len(chosen)}")

@@ -352,9 +352,9 @@ def construct_two_limited(tm: Graph | TypedMultigraph) -> tuple[frozenset[int], 
     """
     if isinstance(tm, Graph):
         tm = TypedMultigraph.from_graph(tm)
-    for v in range(tm.n):
-        if tm.degree(v) > 3:
-            raise PreconditionError(f"vertex {v} has degree {tm.degree(v)} > 3")
+    for v, (c, d) in enumerate(zip(tm.c_adj, tm.d_adj)):
+        if len(c) + len(d) > 3:
+            raise PreconditionError(f"vertex {v} has degree {len(c) + len(d)} > 3")
     st = _State(tm)
     bad = _find_all_c_k4(st)
     if bad is not None:
@@ -428,10 +428,7 @@ def _reduce_component(st: _State, piece: _Piece) -> _Step:
 
 def _brooks_class(st: _State, comp: list[int]) -> _Step:
     index = {v: i for i, v in enumerate(comp)}
-    sub = Graph.from_edges(
-        len(comp),
-        [(index[u], index[v]) for u in comp for v in st.cadj[u] if u < v],
-    )
+    sub = Graph(len(comp), tuple([tuple(sorted([index[u] for u in st.cadj[v]])) for v in comp]))
     coloring = brooks_three_coloring(sub)
     best = max((0, 1, 2), key=lambda c: (coloring.count(c), -c))
     return "brooks", set(comp), [], {v for v, c in zip(comp, coloring) if c == best}
@@ -656,15 +653,14 @@ def brooks_three_coloring(g: Graph) -> tuple[int, ...]:
     for comp in connected_components(g):
         _color_component(g, comp, colors)
         for v in comp:
-            if colors[v] not in (0, 1, 2) or any(
-                colors[u] == colors[v] for u in g.adj[v]
-            ):
+            if colors[v] not in (0, 1, 2) or any(colors[u] == colors[v] for u in g.adj[v]):
                 raise InternalError(f"internal error: Brooks coloring of {comp} is not proper")
     return tuple(colors)
 
 
 def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
     comp_set = set(comp)
+    nbrs = g.adj.__getitem__
     if len(comp) == 4 and all(len(g.adj[v]) == 3 for v in comp):
         raise PreconditionError(f"component {comp} is K4")
     low = [v for v in comp if len(g.adj[v]) < 3]
@@ -673,14 +669,11 @@ def _color_component(g: Graph, comp: list[int], colors: list[int]) -> None:
         return
     cut = _lowest_cut_vertex(g, comp[0])
     if cut is not None:
-        _split_at_cut_vertex(g, components_within(g.neighbors, comp_set - {cut}), cut, colors)
+        _split_at_cut_vertex(g, components_within(nbrs, comp_set - {cut}), cut, colors)
         return
     for v in comp:
         for a, b in combinations(g.adj[v], 2):
-            if (
-                not g.has_edge(a, b)
-                and len(components_within(g.neighbors, comp_set - {a, b})) <= 1
-            ):
+            if b not in g.adj[a] and len(components_within(nbrs, comp_set - {a, b})) <= 1:
                 _reverse_bfs_color(g, comp_set - {a, b}, v, {a: 0, b: 0}, colors)
                 return
     raise InternalError("internal error: no Brooks decomposition found")
@@ -749,7 +742,7 @@ def _reverse_bfs_color(
     Precolored vertices (outside vertex_set) count as neighbors; all go into `colors`.
     Every non-root vertex still has its BFS parent uncolored when its
     turn comes, so 3 colors always suffice when deg(root) < 3 inside."""
-    order = list(bfs_levels(g.neighbors, root, vertex_set))
+    order = list(bfs_levels(g.adj.__getitem__, root, vertex_set))
     local: dict[int, int] = dict(pre)
     for w in reversed(order):
         local[w] = min({0, 1, 2, 3} - {local[x] for x in g.adj[w] if x in local})

@@ -6,6 +6,8 @@ internal invariant (``InternalError``, a bug in limpack, not in the
 input) exit 4.
 """
 
+import reprlib
+
 
 class LimpackError(Exception):
     """Base class for all errors raised by limpack."""
@@ -58,7 +60,7 @@ def _check_arg(
     "positive"."""
     if type(value) is not int and not (number and type(value) is float):
         kind = "a number" if number else "an int"
-        raise GraphInputError(f"{name} must be {kind}, got {value!r}")
+        raise GraphInputError(f"{name} must be {kind}, got {reprlib.repr(value)}")
     if low is not None and not (low <= value and (high is None or value <= high)):
         if high is not None:
             bound = f"lie in [{_show(low)}, {_show(high)}]"

@@ -38,11 +38,13 @@ class GaloisField:
 
     Elements are the integers 0..q-1; for prime powers the base-p digits
     of an element are the coefficients of its polynomial representative.
-    A prime field builds no table, so constructing one is O(1).
+    A prime field builds no table; q is at most ``graph.MAX_VERTICES``.
     """
 
     def __init__(self, q: int):
         _check_arg("q", q)
+        if q > MAX_VERTICES:  # no projective graph within the vertex limit needs more
+            raise ResourceLimitError(f"field order {_show(q)} over the limit {MAX_VERTICES}")
         self.q = q
         self._prime = _is_prime(q)
         if not self._prime:
@@ -145,7 +147,7 @@ def gen_cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
     _check_arg("n", n, 3)
     _check_vertex_count(n)
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, tuple([tuple(sorted(((v - 1) % n, (v + 1) % n))) for v in range(n)]))
 
 
 def gen_named(family: str) -> Graph:
@@ -186,16 +188,17 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     _check_edge_count(n * r // 2)
     rng = random.Random(seed)
     for _ in range(MAX_ATTEMPTS):
-        edges = _pairing_attempt(n, r, rng)
-        if edges is not None:
-            return Graph.from_edges(n, edges)
+        nbrs = _pairing_attempt(n, r, rng)
+        if nbrs is not None:
+            # made while every list is alive, the tuples lie in vertex order
+            return Graph(n, tuple([tuple(sorted(a)) for a in nbrs]))
     raise ResourceLimitError(
         f"no simple {r}-regular graph found on {n} vertices in {MAX_ATTEMPTS} attempts"
     )
 
 
-def _pairing_attempt(n: int, r: int, rng: random.Random) -> list[tuple[int, int]] | None:
-    """Match stubs one at a time; None when the lowest live stub has no partner.
+def _pairing_attempt(n: int, r: int, rng: random.Random) -> list[list[int]] | None:
+    """Neighbour lists in matching order; None when the lowest live stub has no partner.
 
     The live stubs form a list sorted by vertex; each pairing matches its
     first stub, of the lowest vertex u with one left, to the i-th of the
@@ -208,7 +211,6 @@ def _pairing_attempt(n: int, r: int, rng: random.Random) -> list[tuple[int, int]
     live = [r] * n
     tree = _Fenwick(live)
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    edges: list[tuple[int, int]] = []
     total = n * r
     u = 0
     while total:
@@ -225,14 +227,13 @@ def _pairing_attempt(n: int, r: int, rng: random.Random) -> list[tuple[int, int]
                 break
             i += live[w]
         v = tree.select(i)
-        edges.append((u, v))
         nbrs[u].append(v)
         nbrs[v].append(u)
         for w in (u, v):
             live[w] -= 1
             tree.add(w, -1)
         total -= 2
-    return edges
+    return nbrs
 
 
 def _check_edge_count(m: int) -> None:

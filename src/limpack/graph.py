@@ -14,14 +14,16 @@ lines default to type d.  No graph has more than ``MAX_VERTICES``
 vertices.
 
 ``read_edge_lines`` checks each line once and appends its two endpoints
-to one flat list of ints per type token; every adjacency, plain or of
-one edge type, is built by ``_adjacency`` from such checked pairs, after
-the vertex count is checked, into per-vertex lists that are sorted in
-place.  No set per vertex and no tuple per edge is held on the way.
+to one flat list of ints per type token; an adjacency read or given as
+edges is built by ``_adjacency`` from such checked pairs, after the vertex
+count is checked, into per-vertex lists sorted in place (the random regular,
+cycle and projective generators build their own).  No set per vertex or
+tuple per edge is held on the way.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Union
@@ -190,7 +192,7 @@ def components_within(
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
-    return components_within(g.neighbors, range(g.n))
+    return components_within(g.adj.__getitem__, range(g.n))
 
 
 def parse_graph(text: str) -> Union[Graph, TypedMultigraph]:
@@ -334,6 +336,6 @@ def _check_edge(u: int, v: int, n: int) -> None:
 
 def _check_endpoint(v: int, n: int) -> None:
     if type(v) is not int:
-        raise GraphInputError(f"vertex {v!r} is not an int")
+        raise GraphInputError(f"vertex {reprlib.repr(v)} is not an int")
     if not (0 <= v < n):
         raise GraphInputError(f"vertex {_show(v)} out of range for graph with {n} vertices")

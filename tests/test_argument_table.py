@@ -58,6 +58,9 @@ BAD = {
     "0": 0,
     "10**400": 10**400,
     "-10**400": -(10**400),
+    # a refused value is written short: these once made 500-character messages
+    "'3'*500": "3" * 500,
+    "[0]*500": [0] * 500,
 }
 ANY_INT = "-1 0 10**400 -10**400"
 

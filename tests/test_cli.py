@@ -468,8 +468,14 @@ def test_construct_with_explicit_p(tmp_path, capsys, method, p, head, digest):
          "usage error: gen --family random-regular needs --n and --r\n"),
         (["verify", "--dominating", "--l", "1", "--packing", "PACKING", "TYPED"], 3,
          "error: typed multigraphs support packing verification only\n"),
+        # a trace once went unwritten, exit 0, for any method but cubic2
+        (["construct", "--method", "greedy", "--k", "2", "--trace", "OUT", "GRAPH"], 2,
+         "usage error: construct --trace needs --method cubic2\n"),
     ],
-    ids=["solve-no-l", "verify-no-l", "projective-no-k", "regular-no-r", "verify-typed-dominating"],
+    ids=[
+        "solve-no-l", "verify-no-l", "projective-no-k", "regular-no-r", "verify-typed-dominating",
+        "trace-without-cubic2",
+    ],
 )
 def test_input_errors(tmp_path, capsys, argv, code, err):
     """Each names its error on one line; the upper-case arguments are files."""

@@ -22,7 +22,7 @@ from limpack import (
     projective_points,
     serialize_graph,
 )
-from limpack.graph import bfs_levels
+from limpack.graph import MAX_VERTICES, bfs_levels
 
 
 def two_coloring_parts(g: Graph):
@@ -54,6 +54,12 @@ def test_cycle_basics():
     assert len(connected_components(c6)) == 1
     with pytest.raises(GraphInputError):
         gen_cycle(2)
+
+
+def test_cycle_matches_the_edge_list_build():
+    """gen_cycle makes its neighbour tuples itself; they equal from_edges over its edges."""
+    for n in range(3, 41):
+        assert gen_cycle(n) == Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_h6_is_k33(h6):
@@ -141,6 +147,20 @@ def test_unsupported_field():
         GaloisField(6)
     with pytest.raises(GraphInputError):
         gen_projective(12, 1)
+
+
+def test_field_order_over_the_vertex_limit_is_refused_at_once():
+    """GaloisField(10**14 + 31) once ran trial division for over a second and
+    returned; an order over MAX_VERTICES is now refused before any division."""
+    with pytest.raises(ResourceLimitError, match=r"^field order 100000000000031 over the limit"):
+        GaloisField(10**14 + 31)
+    with pytest.raises(ResourceLimitError, match=r"^field order over 2\^1328 over the limit"):
+        GaloisField(10**400)
+    with pytest.raises(ResourceLimitError):
+        GaloisField(MAX_VERTICES + 1)
+    with pytest.raises(GraphInputError, match="unsupported field order 10000000:"):
+        GaloisField(MAX_VERTICES)
+    assert GaloisField(9_999_991).inv(2) == 4_999_996  # the largest prime within the limit
 
 
 @pytest.mark.parametrize(

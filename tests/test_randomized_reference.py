@@ -46,7 +46,9 @@ def _first_success(attempt, n: int, r: int, seed: int):
 def test_pairing_matches_reference(n, r, seeds):
     restarts = 0
     for seed in range(seeds):
-        edges, dead_ends = _first_success(_pairing_attempt, n, r, seed)
+        nbrs, dead_ends = _first_success(_pairing_attempt, n, r, seed)
+        # each vertex matches only higher ones, lowest first: the reference's edge order
+        edges = [(u, v) for u, a in enumerate(nbrs) for v in a if u < v]
         assert (edges, dead_ends) == _first_success(ref._pairing_attempt, n, r, seed)
         assert gen_random_regular(n, r, seed) == Graph.from_edges(n, edges)
         restarts += dead_ends
