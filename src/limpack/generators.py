@@ -15,6 +15,7 @@ H the degree bound below); the pairing model gives up after ``MAX_ATTEMPTS``.
 from __future__ import annotations
 
 import random
+import reprlib
 from itertools import product
 
 from .errors import GraphInputError, ResourceLimitError, _check_arg, _show
@@ -166,7 +167,7 @@ def gen_named(family: str) -> Graph:
         return Graph.from_edges(10, edges)
     if family == "k4":
         return Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    raise GraphInputError(f"unknown graph family {family!r} (h6, petersen, k4)")
+    raise GraphInputError(f"unknown graph family {reprlib.repr(family)} (h6, petersen, k4)")
 
 
 def gen_random_regular(n: int, r: int, seed: int) -> Graph:

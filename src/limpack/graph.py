@@ -99,7 +99,7 @@ class TypedMultigraph:
             if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v
                     and t in ("c", "d")):
                 _check_edge(u, v, n)
-                raise GraphInputError(f"unknown edge type {t!r} (expected 'c' or 'd')")
+                raise GraphInputError(f"unknown edge type {reprlib.repr(t)} (expected 'c' or 'd')")
             ends[t] += u, v
         c_adj, d_adj = (_adjacency(n, _pairs(ends[t])) for t in "cd")
         return TypedMultigraph(n, c_adj, d_adj)
@@ -312,7 +312,7 @@ def parse_packing(text: str) -> list[int]:
                 out.append(int(tok))
             except ValueError:
                 raise GraphInputError(
-                    f"line {lineno}: packing entries must be integers, got {tok!r}"
+                    f"line {lineno}: packing entries must be integers, got {reprlib.repr(tok)}"
                 ) from None
     return out
 

@@ -2,10 +2,10 @@
 
 One branch-and-bound engine, ``_maximize``, called from one front end,
 ``_solve``, serves every exact solve of at most ``VERTEX_LIMIT``
-vertices (it recurses once per vertex).  It finds the largest vertex set
-with at most 1 member on each c-edge and at most caps[v] members in each
-closed d-neighborhood N[v].  A k-limited
-packing has no c-edges and cap k everywhere (a typed multigraph, cap 2).
+vertices (it recurses at most once per vertex).  It finds the largest
+vertex set with at most 1 member on each c-edge and at most caps[v]
+members in each closed d-neighborhood N[v].  A k-limited packing has
+no c-edges and cap k everywhere (a typed multigraph, cap 2).
 Domination is the same search on the complement: D is l-tuple
 dominating exactly when Y = V - D has at most |N[v]| - l members in
 every N[v], so the smallest D is V minus the largest such Y.
@@ -45,22 +45,23 @@ A node is pruned only when its subtree cannot strictly improve on the
 incumbent, so the witness rule above is unaffected by the bound.  A node
 with no live vertex is a leaf.
 
-The engine never rescans the instance at a node.  It keeps the terms of
-its bound up to date as it branches and undoes every update when it
-backtracks.  A bound then costs O(1) plus a short histogram scan, and a
-branch touches only the constraints of its vertex and the members of a
-constraint whose cap reaches 0: O(Δ²) updates, plus O(Δ) for each vertex
-that becomes unselectable.
-
-State: the residual caps; per vertex, the number of its constraints whose
-cap is 0 (it is selectable when that is 0, so a cap of 0 at the root
-leaves its members unselectable from the start); per constraint, its live
-members; the number of live vertices with each constraint count; and
-addable, live_size and cap_sum.  Deciding a vertex takes it out of the
-live counts.  Including it also lowers the caps of its constraints.  A cap
-that reaches 0 makes all members of that constraint unselectable, and the
-live ones leave the counts.  Each step moves cap_sum by at most 1 per
-constraint.
+The engine never rescans the instance at a node.  ``_solve`` builds the
+constraint lists once per solve and hands them to each search.  The
+state kept in place: the residual caps; per vertex, the number of its
+constraints whose cap is 0 (it is selectable when that is 0, so a cap of
+0 at the root leaves its members unselectable from the start); per
+constraint, its live members; the number of live vertices with each
+constraint count.  The search updates these as it branches and undoes
+them as it backtracks.  addable, live_size and cap_sum are arguments of
+each node instead, so each branch works on its own copies and has
+nothing of them to undo.  A bound costs O(1) plus a short histogram
+scan.  Deciding a vertex takes it out of the live counts; including it
+also lowers the caps of its constraints, and a cap that reaches 0 makes
+all members of that constraint unselectable (the live ones leave the
+counts).  A branch thus costs O(Δ²) updates, plus O(Δ) for each vertex
+that becomes unselectable, and moves cap_sum by at most 1 per
+constraint.  Deciding an unselectable vertex changes no state, so a node
+steps over a run of them in one loop and counts one node for each.
 
 ``enumerate_oracle`` scans all 2^n subsets with no pruning and is the
 independent yardstick the rest of the package is tested against.
@@ -68,6 +69,7 @@ independent yardstick the rest of the package is tested against.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -163,7 +165,7 @@ def enumerate_oracle(
         if best is None:
             raise InfeasibleError(f"no {_show(l)}-tuple dominating set exists")
         return best
-    raise GraphInputError(f"unknown oracle mode {mode!r} (packing or domination)")
+    raise GraphInputError(f"unknown oracle mode {reprlib.repr(mode)} (packing or domination)")
 
 
 def _check_size(n: int) -> None:
@@ -190,39 +192,6 @@ def _solve(
     search then only looks for the first leaf of that size."""
     n = len(d_adj)
     _check_size(n)
-    size = [len(a) + 1 for a in d_adj]
-    for v, a in enumerate(c_adj):
-        size[v] += len(a)
-    order = sorted(range(n), key=lambda v: (-size[v], v))
-    if min(size, default=0) == max(size, default=0):
-        neighbors = (lambda v: c_adj[v] + d_adj[v]) if c_adj else d_adj.__getitem__
-        seen: dict[int, int] = {}
-        for root in range(n):
-            if root not in seen:
-                seen.update(bfs_levels(neighbors, root))
-        if list(seen) != order:
-            first = _maximize(c_adj, d_adj, caps, list(seen))
-            last = _maximize(c_adj, d_adj, caps, order, exclude_first, first.optimum)
-            nodes = first.nodes_explored + last.nodes_explored
-            return SolveResult(last.optimum, last.witness, nodes)
-    return _maximize(c_adj, d_adj, caps, order, exclude_first)
-
-
-def _maximize(
-    c_adj: Sequence[Sequence[int]],
-    d_adj: Sequence[Sequence[int]],
-    caps: list[int],
-    order: list[int],
-    exclude_first: bool = False,
-    target: Optional[int] = None,
-) -> SolveResult:
-    """Branch and bound for the largest X with at most 1 member on each
-    c-edge and at most caps[v] >= 0 in each closed d-neighborhood N[v],
-    deciding the vertices in `order`; with `exclude_first`, each vertex
-    is first left out, then taken.  Given the optimum as `target`, the
-    incumbent starts one below it and the search stops at the first leaf
-    that reaches it."""
-    n = len(d_adj)
     constraints = [[u, v] for u, nbrs in enumerate(c_adj) for v in nbrs if u < v]
     caps = [1] * len(constraints) + caps
     constraints += [[v, *nbrs] for v, nbrs in enumerate(d_adj)]
@@ -231,6 +200,38 @@ def _maximize(
         for v in members:
             cons_of[v].append(c)
     size = [len(cs) for cs in cons_of]
+    instance = (constraints, cons_of, size, caps)
+    order = sorted(range(n), key=lambda v: (-size[v], v))
+    if min(size, default=0) == max(size, default=0):
+        neighbors = (lambda v: c_adj[v] + d_adj[v]) if c_adj else d_adj.__getitem__
+        seen: dict[int, int] = {}
+        for root in range(n):
+            if root not in seen:
+                seen.update(bfs_levels(neighbors, root))
+        if list(seen) != order:
+            # A search that runs to the end leaves caps as it found them.
+            first = _maximize(*instance, list(seen))
+            last = _maximize(*instance, order, exclude_first, first.optimum)
+            nodes = first.nodes_explored + last.nodes_explored
+            return SolveResult(last.optimum, last.witness, nodes)
+    return _maximize(*instance, order, exclude_first)
+
+
+def _maximize(
+    constraints: list[list[int]],
+    cons_of: list[list[int]],
+    size: list[int],
+    caps: list[int],
+    order: list[int],
+    exclude_first: bool = False,
+    target: Optional[int] = None,
+) -> SolveResult:
+    """Branch and bound for the largest X with at most caps[c] >= 0 of
+    the members of each constraint c, deciding the vertices in `order`; with
+    `exclude_first`, each vertex is first left out, then taken.  Given
+    the optimum as `target`, the incumbent starts one below it and the
+    search stops at the first leaf that reaches it."""
+    n = len(cons_of)
     smallest = min(size, default=1)
     most = max(size, default=1)
     rank = [0] * n
@@ -238,9 +239,7 @@ def _maximize(
         rank[v] = pos
     # zero[v]: v's constraints whose cap is 0; v is selectable when it is 0.
     # An undecided selectable vertex is "live"; live[c] counts c's live
-    # members, by_size[s] the live vertices in s constraints, live_size
-    # sums their constraint counts and cap_sum sums min(cap, live) over
-    # the constraints.
+    # members and by_size[s] the live vertices in s constraints.
     zero = [0] * n
     for c, cap in enumerate(caps):
         if not cap:
@@ -248,39 +247,19 @@ def _maximize(
                 zero[u] += 1
     live = [0] * len(constraints)
     by_size = [0] * (most + 1)
-    addable = live_size = cap_sum = 0
+    for v in range(n):
+        if not zero[v]:
+            by_size[size[v]] += 1
+            for c in cons_of[v]:
+                live[c] += 1
 
     best_size = -1 if target is None else target - 1
     best_set: list[int] = []
     chosen: list[int] = []
     nodes = 0
 
-    def drop(u: int) -> None:
-        nonlocal addable, live_size, cap_sum
-        addable -= 1
-        by_size[size[u]] -= 1
-        live_size -= size[u]
-        for c in cons_of[u]:
-            if live[c] <= caps[c]:
-                cap_sum -= 1
-            live[c] -= 1
-
-    def restore(u: int) -> None:
-        nonlocal addable, live_size, cap_sum
-        addable += 1
-        by_size[size[u]] += 1
-        live_size += size[u]
-        for c in cons_of[u]:
-            if live[c] < caps[c]:
-                cap_sum += 1
-            live[c] += 1
-
-    for v in range(n):
-        if not zero[v]:
-            restore(v)
-
-    def rec(pos: int) -> None:
-        nonlocal best_size, best_set, nodes, cap_sum
+    def rec(pos: int, addable: int, live_size: int, cap_sum: int) -> None:
+        nonlocal best_size, best_set, nodes
         nodes += 1
         if not addable:
             if len(chosen) > best_size:
@@ -289,46 +268,67 @@ def _maximize(
                 if best_size == target:
                     raise _Found
             return
+        # The bound's second term first: it needs no histogram scan.
+        room = best_size - len(chosen)
+        if addable + (cap_sum - live_size) // most <= room:
+            return
         fewest = smallest
         while not by_size[fewest]:
             fewest += 1
-        bound = min(addable + (cap_sum - live_size) // most, cap_sum // fewest)
-        if len(chosen) + bound <= best_size:
+        if cap_sum // fewest <= room:
             return
         v = order[pos]
-        if zero[v]:
-            rec(pos + 1)
-            return
-        drop(v)
+        while zero[v]:
+            pos += 1
+            v = order[pos]
+            nodes += 1
+        # v leaves the live counts in both branches.
+        addable -= 1
+        live_size -= size[v]
+        by_size[size[v]] -= 1
+        for c in cons_of[v]:
+            if live[c] <= caps[c]:
+                cap_sum -= 1
+            live[c] -= 1
         if exclude_first:
-            rec(pos + 1)
+            rec(pos + 1, addable, live_size, cap_sum)
         chosen.append(v)
+        add, lsize, csum = addable, live_size, cap_sum
         for c in cons_of[v]:
             if caps[c] <= live[c]:
-                cap_sum -= 1
+                csum -= 1
             caps[c] -= 1
             if not caps[c]:
                 for u in constraints[c]:
                     zero[u] += 1
                     if zero[u] == 1 and rank[u] > pos:
-                        drop(u)
-        rec(pos + 1)
+                        add -= 1
+                        lsize -= size[u]
+                        by_size[size[u]] -= 1
+                        for d in cons_of[u]:
+                            if live[d] <= caps[d]:
+                                csum -= 1
+                            live[d] -= 1
+        rec(pos + 1, add, lsize, csum)
         for c in cons_of[v]:
             if not caps[c]:
                 for u in constraints[c]:
                     zero[u] -= 1
                     if not zero[u] and rank[u] > pos:
-                        restore(u)
+                        by_size[size[u]] += 1
+                        for d in cons_of[u]:
+                            live[d] += 1
             caps[c] += 1
-            if caps[c] <= live[c]:
-                cap_sum += 1
         chosen.pop()
         if not exclude_first:
-            rec(pos + 1)
-        restore(v)
+            rec(pos + 1, addable, live_size, cap_sum)
+        by_size[size[v]] += 1
+        for c in cons_of[v]:
+            live[c] += 1
 
+    live_size = sum(s * count for s, count in enumerate(by_size))
     try:
-        rec(0)
+        rec(0, sum(by_size), live_size, sum(map(min, caps, live)))
     except _Found:
         pass
     return SolveResult(best_size, tuple(best_set), nodes)

@@ -88,3 +88,9 @@ def test_small_and_disconnected_same_tree():
 @pytest.mark.parametrize("seed", [1, 3])
 def test_random_cubic_n32_same_tree(seed):
     _same_tree(gen_random_regular(32, 3, seed=seed), (1, 2, 3), (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("n, seed", [(n, s) for n in (32, 36) for s in range(3)])
+def test_deeper_random_cubic_same_tree(n, seed):
+    """Searches of thousands of nodes, deeper than the trees above."""
+    _same_tree(gen_random_regular(n, 3, seed=seed), (2,), (2,))

@@ -13,16 +13,23 @@ from limpack import gen_random_regular, max_k_limited, min_tuple_dominating
 from limpack.solver import _maximize
 
 
+def _fixed_order(g, cap, exclude_first=False):
+    """One search of ``_maximize`` in index order with no target; the
+    constraint holding v are the closed neighbourhoods N[w] with w in N[v]."""
+    closed = [sorted([v, *a]) for v, a in enumerate(g.adj)]
+    order = list(range(g.n))
+    return _maximize(closed, closed, list(map(len, closed)), [cap] * g.n, order, exclude_first)
+
+
 @pytest.mark.parametrize("n, seed", [(n, s) for n in range(20, 41, 2) for s in range(5)])
 def test_two_phase_matches_one_fixed_order_search(n, seed):
     g = gen_random_regular(n, 3, seed=seed)
-    fixed = list(range(n))
     for k in (1, 2, 3):
-        plain = _maximize((), g.adj, [k] * n, fixed)
+        plain = _fixed_order(g, k)
         got = max_k_limited(g, k)
         assert (got.optimum, got.witness) == (plain.optimum, plain.witness), ("k", k)
     for l in (1, 2, 3, 4):
-        kept = _maximize((), g.adj, [4 - l] * n, fixed, exclude_first=True)
+        kept = _fixed_order(g, 4 - l, exclude_first=True)
         dominating = tuple(sorted(set(range(n)).difference(kept.witness)))
         got = min_tuple_dominating(g, l)
         assert (got.optimum, got.witness) == (n - kept.optimum, dominating), ("l", l)

@@ -22,6 +22,7 @@ from limpack import (
     dual_complement,
     enumerate_oracle,
     gen_cycle,
+    gen_named,
     gen_projective,
     gen_random_regular,
     greedy_packing,
@@ -306,6 +307,10 @@ CASES = [
      "domination mode needs a positive l"),
     ("oracle-infeasible", lambda: enumerate_oracle(C5, mode="domination", l=4), InfeasibleError,
      "no 4-tuple dominating set exists"),
+    ("oracle-mode", lambda: enumerate_oracle(C5, 2, mode="x"), GraphInputError,
+     "unknown oracle mode 'x' (packing or domination)"),
+    ("gen_named-family", lambda: gen_named("x"), GraphInputError,
+     "unknown graph family 'x' (h6, petersen, k4)"),
 ]
 
 
@@ -352,5 +357,25 @@ HUGE_CALLS = [
 @pytest.mark.parametrize("call", HUGE_CALLS)
 def test_huge_int_messages_stay_short(call):
     with pytest.raises((GraphInputError, ResourceLimitError)) as info:
+        call()
+    assert len(str(info.value)) <= 200, str(info.value)
+
+
+LONG = "x" * 500
+
+# every string a caller passes that a message quotes, given a long one
+LONG_STRING_CALLS = [
+    ("gen_named-family", lambda: gen_named(LONG)),
+    ("typed-edge-type", lambda: TypedMultigraph.from_edges(3, [(0, 1, LONG)])),
+    ("oracle-mode", lambda: enumerate_oracle(C5, 2, mode=LONG)),
+    ("parse_packing-token", lambda: parse_packing(LONG)),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [c[1] for c in LONG_STRING_CALLS], ids=[c[0] for c in LONG_STRING_CALLS]
+)
+def test_long_string_messages_stay_short(call):
+    with pytest.raises(GraphInputError) as info:
         call()
     assert len(str(info.value)) <= 200, str(info.value)
