@@ -249,14 +249,12 @@ class _State:
         self._relevel(piece, max(vertices))
         return piece
 
-    def _relevel(self, piece: _Piece, root: int) -> dict[int, int]:
-        """Root `piece` at `root` with BFS levels; returns the vertices reached."""
+    def _relevel(self, piece: _Piece, root: int) -> None:
+        """Root `piece` at `root` with BFS levels."""
         piece.root = root
-        levels = bfs_levels(self.nadj.__getitem__, root)
         level = self.level
-        for v, d in levels.items():
+        for v, d in bfs_levels(self.nadj.__getitem__, root).items():
             level[v] = d
-        return levels
 
     def _repair(self, piece: _Piece, check: list[tuple[int, int]], steps: int) -> bool:
         """Up to `steps` steps of the level repair, each on the lowest
@@ -332,7 +330,7 @@ class _State:
                 pieces.append(self.new_piece(vertices))
                 piece.size -= pieces[-1].size
         if not (self.owner[piece.root] is piece and self._repair(piece, check, piece.size)):
-            self._relevel(piece, max(self._relevel(piece, kept[0])))
+            self._relevel(piece, max(v for v in piece.members if self.owner[v] is piece))
         return pieces
 
 

@@ -206,83 +206,65 @@ def _pairing_attempt(n: int, r: int, rng: random.Random) -> list[list[int]] | No
     compatible stubs (neither u's nor a current neighbour's), with i drawn
     by ``rng.randrange`` over their count.  A vertex's stubs are
     interchangeable, so only the vertex of the i-th compatible stub
-    matters: a Fenwick tree over the live stub counts finds it in
-    O(r log n) by skipping the blocked vertices' stubs in sorted order.
+    matters: a Fenwick tree (Fenwick 1994) over the live stub counts finds
+    it in O(r log n) by skipping the blocked vertices' stubs in sorted
+    order.  u's stubs leave the tree when u becomes the lowest, so each
+    pairing updates the tree for its partner alone.
     """
     live = [r] * n
-    tree = _Fenwick(live)
+    tree = [0] + live  # tree[j] sums the live stubs of vertices j - (j & -j) .. j - 1
+    for j in range(1, n + 1):
+        if j + (j & -j) <= n:
+            tree[j + (j & -j)] += tree[j]
+    top = 1 << max(n.bit_length() - 1, 0)
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    total = n * r
-    u = 0
-    while total:
-        while not live[u]:
-            u += 1
-        # u is the lowest vertex with a live stub, so its live neighbours lie above it
-        blocked = sorted(w for w in nbrs[u] if live[w])
-        compatible = total - live[u] - sum(live[w] for w in blocked)
-        if not compatible:
-            return None
-        i = rng.randrange(compatible) + live[u]
-        for w in blocked:
-            if tree.prefix(w) > i:
-                break
-            i += live[w]
-        v = tree.select(i)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-        for w in (u, v):
-            live[w] -= 1
-            tree.add(w, -1)
-        total -= 2
+    total = n * r  # live stubs in the tree
+    for u in range(n):
+        if not live[u]:
+            continue
+        j = u + 1
+        while j <= n:
+            tree[j] -= live[u]
+            j += j & -j
+        total -= live[u]
+        while live[u]:
+            # u is the lowest vertex with a live stub, so its live neighbours lie above it
+            blocked = sorted(w for w in nbrs[u] if live[w])
+            compatible = total - sum(live[w] for w in blocked)
+            if not compatible:
+                return None
+            i = rng.randrange(compatible)
+            for w in blocked:
+                below = 0  # live stubs of the vertices below w
+                j = w
+                while j:
+                    below += tree[j]
+                    j &= j - 1
+                if below > i:
+                    break
+                i += live[w]
+            v = 0  # the vertex holding live stub i
+            step = top
+            while step:
+                if v + step <= n and tree[v + step] <= i:
+                    v += step
+                    i -= tree[v]
+                step >>= 1
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+            live[u] -= 1
+            live[v] -= 1
+            j = v + 1
+            while j <= n:
+                tree[j] -= 1
+                j += j & -j
+            total -= 1
     return nbrs
 
 
 def _check_edge_count(m: int) -> None:
     if m > MAX_EDGES:
         raise ResourceLimitError(f"graph has up to {_show(m)} edges (limit {MAX_EDGES})")
-
-
-class _Fenwick:
-    """Prefix sums over nonnegative vertex weights (Fenwick 1994)."""
-
-    def __init__(self, weights: list[int]):
-        n = len(weights)
-        tree = [0] + weights
-        for i in range(1, n + 1):
-            parent = i + (i & -i)
-            if parent <= n:
-                tree[parent] += tree[i]
-        self._tree = tree
-        self._top = 1 << max(n.bit_length() - 1, 0)
-
-    def add(self, v: int, delta: int) -> None:
-        tree = self._tree
-        i = v + 1
-        while i < len(tree):
-            tree[i] += delta
-            i += i & -i
-
-    def prefix(self, v: int) -> int:
-        """Total weight of the vertices below v."""
-        tree = self._tree
-        total = 0
-        while v:
-            total += tree[v]
-            v &= v - 1
-        return total
-
-    def select(self, i: int) -> int:
-        """The vertex holding unit i of the weight, counted from 0."""
-        tree = self._tree
-        pos = 0
-        step = self._top
-        while step:
-            nxt = pos + step
-            if nxt < len(tree) and tree[nxt] <= i:
-                pos = nxt
-                i -= tree[nxt]
-            step >>= 1
-        return pos
 
 
 def _is_prime(q: int) -> bool:

@@ -13,12 +13,18 @@ starts with ``#`` are skipped.  A file with no type tokens parses to a
 lines default to type d.  No graph has more than ``MAX_VERTICES``
 vertices.
 
-``read_edge_lines`` checks each line once and appends its two endpoints
-to one flat list of ints per type token; an adjacency read or given as
-edges is built by ``_adjacency`` from such checked pairs, after the vertex
-count is checked, into per-vertex lists sorted in place (the random regular,
-cycle and projective generators build their own).  No set per vertex or
-tuple per edge is held on the way.
+``read_edge_lines`` returns one flat list of endpoint ints per type
+token.  Text in exactly ``serialize_graph``'s plain form (the header, then
+``u v\\n`` lines of ASCII digits joined by one space) is read in chunks
+of whole lines, about 64 KiB each: string checks recognise the form in
+each chunk before it is split into ints, and the ints are then checked in
+bulk (edge count, vertex range, self-loops).  Any other text,
+and any plain text that fails a check, goes through the line walk, which
+checks each line once and words every error.  An adjacency read or given
+as edges is built by ``_adjacency`` from such checked pairs, after the
+vertex count is checked, into per-vertex lists sorted in place (the random
+regular, cycle and projective generators build their own).  No set per
+vertex or tuple per edge is held on the way.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from itertools import chain
+from operator import eq
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import GraphInputError, ResourceLimitError, _check_arg, _show
@@ -33,6 +40,11 @@ from .errors import GraphInputError, ResourceLimitError, _check_arg, _show
 # The most vertices of any graph limpack builds, checked before the adjacency
 # is allocated: building costs about 70 bytes per vertex even with no edges.
 MAX_VERTICES = 10**7
+
+# `_read_plain` deletes the ASCII digits to see a text's form, and reads
+# it in chunks of about _CHUNK characters.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -215,6 +227,9 @@ def read_edge_lines(text: str) -> tuple[int, dict[Optional[str], list[int]]]:
     ints per line appended to one flat list per type token (None for an
     untyped line), each line checked as `parse_graph` does; no adjacency
     is built, so a caller can check the vertex count first."""
+    plain = _read_plain(text)
+    if plain is not None:
+        return plain
     header: Optional[tuple[int, int]] = None
     ends: dict[Optional[str], list[int]] = {None: [], "c": [], "d": []}
     count = 0
@@ -257,6 +272,36 @@ def read_edge_lines(text: str) -> tuple[int, dict[Optional[str], list[int]]]:
     if count != m:
         raise GraphInputError(f"expected {m} edge lines, found {count}")
     return n, ends
+
+
+def _read_plain(text: str) -> Optional[tuple[int, dict[Optional[str], list[int]]]]:
+    """What `read_edge_lines` returns for text in `serialize_graph`'s plain
+    form, checked in bulk: the header, then one ``u v`` line per edge, each
+    line two runs of ASCII digits joined by one space and ended by ``\\n``.
+    None for any other text or any failed check, so that the line walk
+    alone words every error."""
+    if not (text[:1].isdigit() and text[-1:] == "\n" and " \n" not in text and "\n " not in text):
+        return None
+    ends: list[int] = []
+    start = 0
+    try:
+        # chunks of whole lines: each is checked before it is split, and
+        # few strings are held at a time
+        while start < len(text):
+            stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+            chunk = text[start:stop]
+            if chunk.translate(_NO_DIGITS) != " \n" * chunk.count("\n"):
+                return None
+            ends += map(int, chunk.split())
+            start = stop
+    except ValueError:  # a number over int's digit limit
+        return None
+    n, m = ends[:2]
+    del ends[:2]
+    it = iter(ends)  # map(eq, it, it) compares each line's two endpoints
+    if len(ends) != 2 * m or max(ends, default=-1) >= n or any(map(eq, it, it)):
+        return None
+    return n, {None: ends, "c": [], "d": []}
 
 
 def _pairs(ends: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -12,12 +12,14 @@ from limpack import (
     disjoint_union,
     gen_cycle,
     gen_named,
+    gen_projective,
     gen_random_regular,
     parse_graph,
     parse_packing,
     serialize_graph,
 )
-from limpack.graph import bfs_levels
+from limpack.cli import main
+from limpack.graph import _read_plain, bfs_levels
 
 
 def _distance(g: Graph, u: int, v: int):
@@ -188,6 +190,22 @@ def test_round_trip_plain_and_typed(petersen):
     assert again == petersen
     tm = TypedMultigraph.from_edges(4, [(0, 1, "c"), (0, 1, "d"), (2, 3, "d")])
     assert parse_graph(serialize_graph(tm)) == tm
+
+
+def test_every_plain_graph_file_is_read_in_bulk(tmp_path):
+    """serialize_graph writes a plain graph in the one form the reader
+    takes in bulk; this fails when either side's form drifts."""
+    graphs = [gen_named(family) for family in ("h6", "petersen", "k4")]
+    graphs += [gen_cycle(7), gen_projective(3, 1), gen_random_regular(20000, 3, 1)]
+    graphs += [gen_random_regular(300, 10, 2), Graph.from_edges(0, []), Graph.from_edges(5, [])]
+    texts = [serialize_graph(g) for g in graphs]
+    out = tmp_path / "copies.graph"
+    assert main(["gen", "--family", "petersen", "--copies", "3", "--out", str(out)]) == 0
+    texts.append(out.read_text())
+    assert texts[-3:] == ["0 0\n", "5 0\n", serialize_graph(disjoint_union(*graphs[1:2] * 3))]
+    for text in texts:
+        assert _read_plain(text) is not None, text[:40]
+        assert serialize_graph(parse_graph(text)) == text
 
 
 def test_round_trip_is_stable(h6):

@@ -13,6 +13,7 @@ arities and one-shot iterators.
 
 import random
 
+import pytest
 import reference_parse as ref
 
 from limpack import Graph, TypedMultigraph, parse_graph, parse_packing, serialize_graph
@@ -28,6 +29,51 @@ SEPS = [" ", " ", "  ", "\t", "\xa0", " \t "]
 COMMENTS = ["", "   ", "\t", "#", "# note", "  # indented", "\t#tab", "#c", "\xa0# nbsp"]
 # every line boundary of str.splitlines, which the frozen reader walks
 BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+# Texts one step away from serialize_graph's plain form, which the reader
+# takes in bulk; every other text goes through its line walk.
+BASE = "4 3\n0 1\n1 2\n2 3\n"
+OVER_DIGIT_LIMIT = "1" * 5000  # int() refuses it under Python's default limit
+NEAR_CANONICAL = {
+    "canonical": BASE,
+    "no-final-newline": BASE[:-1],
+    "crlf": BASE.replace("\n", "\r\n"),
+    "double-space": "4 3\n0  1\n1 2\n2 3\n",
+    "trailing-space": "4 3\n0 1\n1 2 \n2 3\n",
+    "leading-space": "4 3\n0 1\n 1 2\n2 3\n",
+    "leading-space-header": " 4 3\n0 1\n1 2\n2 3\n",
+    "one-endpoint-and-space": "4 3\n0 1\n1 \n2 3\n",
+    "space-and-one-endpoint": "4 3\n0 1\n 3\n1 2\n",
+    "space-and-one-number-header": " 43\n0 1\n1 2\n2 3\n",
+    "trailing-number": "4 2\n0 1\n1 2\n3",
+    # two faults whose number counts would make up for each other
+    "one-endpoint-lines": "4 1\n0 \n1 \n",
+    "space-first-lines": "4 1\n 0\n 1\n",
+    "space-first-and-trailing-number": " 5\n1 0\n1",
+    "leading-zeros": "004 3\n0 1\n1 2\n2 003\n",
+    "leading-zeros-out-of-range": "4 3\n007 1\n1 2\n2 3\n",
+    "plus-sign": "4 3\n0 +1\n1 2\n2 3\n",
+    "arabic-indic-digit": "4 3\n0 1\n1 2\n2 \u0663\n",
+    "arabic-indic-header": "\u0664 3\n0 1\n1 2\n2 3\n",
+    "superscript-digit": "4 3\n0 1\n1 2\n2 \u00b3\n",
+    "endpoint-over-digit-limit": f"4 3\n0 1\n1 2\n2 {OVER_DIGIT_LIMIT}\n",
+    "header-over-digit-limit": f"{OVER_DIGIT_LIMIT} 3\n0 1\n1 2\n2 3\n",
+    "header-over-vertex-limit": "99999999999999999999 1\n0 1\n",
+    "empty-graph": "0 0\n",
+    "edgeless": "3 0\n",
+    "too-few-edge-lines": "4 3\n0 1\n1 2\n",
+    "too-many-edge-lines": BASE + "0 3\n",
+    "vertex-equal-to-n": "4 3\n0 1\n1 4\n2 3\n",
+    "self-loop": "4 3\n0 1\n2 2\n2 3\n",
+    "repeated-edge": "4 3\n0 1\n1 0\n2 3\n",
+    "typed-line": "4 3\n0 1\n1 2 c\n2 3\n",
+    "comment": "4 3\n0 1\n# 1 2\n1 2\n2 3\n",
+    "blank-line": "4 3\n0 1\n\n1 2\n2 3\n",
+    "trailing-blank-line": BASE + "\n",
+    "vertical-tab-break": "4 3\n0 1\v1 2\n2 3\n",
+    "next-line-break": "4 3\n0 1\x851 2\n2 3\n",
+}
 
 
 def _outcome(call, *args):
@@ -191,3 +237,10 @@ def test_from_edges_matches_reference():
         assert new == old, (n, edges)
         kinds.add(new[0].__name__)
     assert kinds == {"Graph", "GraphInputError", "ResourceLimitError", "ValueError"}
+
+
+@pytest.mark.parametrize("text", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
+def test_near_canonical_text_matches_reference(text):
+    assert _outcome(parse_graph, text) == _outcome(ref.parse_graph, text)
+    count = _outcome(lambda t: read_edge_lines(t)[0], text)
+    assert count == _outcome(lambda t: ref.read_edge_lines(t)[0], text)

@@ -86,6 +86,10 @@ def test_oracle_examples():
     assert enumerate_oracle(gen_cycle(5), 1) == 1
     assert enumerate_oracle(Graph.from_edges(1, []), 1) == 1
     assert enumerate_oracle(gen_cycle(4), 2) == 2
+    assert enumerate_oracle(Graph.from_edges(0, []), 1) == 0
+    # the size limit is inclusive: 20 vertices are solved (21 are refused below)
+    k20 = Graph.from_edges(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+    assert enumerate_oracle(k20, 1) == 1
 
 
 def test_oracle_rejects_large_graphs():

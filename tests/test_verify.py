@@ -108,6 +108,9 @@ def test_dual_complement_k4_empty(k4):
         assert full == {0, 1, 2, 3}
         if 4 - k >= 1:  # k = r+1 dualizes to the trivial 0-tuple condition
             assert verify_tuple_dominating(k4, full, 4 - k).valid
+    with pytest.raises(GraphInputError) as info:
+        dual_complement(k4, set(), 5)
+    assert str(info.value) == "k must be in [1, 4] for a 3-regular graph, got 5"
 
 
 def test_dual_complement_petersen_witness(petersen):
