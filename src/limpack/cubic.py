@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Any, Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import InternalError, PreconditionError
 from .graph import (
@@ -101,13 +101,6 @@ class _Piece:
         self.dedges: list[tuple[int, int, int]] = []
 
 
-def _top(heap: list, valid: Callable) -> Any:
-    """Smallest entry of a lazy heap that `valid` accepts, dropping the rest."""
-    while heap and not valid(heap[0]):
-        heappop(heap)
-    return heap[0] if heap else None
-
-
 class _State:
     """Adjacency of a typed multigraph, original indices kept, reduced in
     place, and the pending component (`_Piece`) each vertex belongs to."""
@@ -143,28 +136,16 @@ class _State:
         self.nadj[u].add(v)
         self.nadj[v].add(u)
 
-    def enter(self, piece: _Piece, v: int) -> None:
-        """Make v a member of `piece` and push its entries there."""
-        self.owner[v] = piece
-        piece.size += 1
-        heappush(piece.members, v)
-        if len(self.cadj[v]) == 3:
-            heappush(piece.cand, v)
-        for w in self.dadj[v]:
-            if v < w:
-                heappush(piece.dedges, (2, v, w))
-        self.note(v)
-
     def note(self, v: int) -> None:
         """Push v's degree entry and its d-edges' triangle entries again."""
         piece = self.owner[v]
         key = self._low_key(v)
         if key:
             heappush(piece.low, (key, v))
+        nv = self.nadj[v]
         for w in self.dadj[v]:
-            common = len(self.nadj[v] & self.nadj[w])
-            if common:
-                heappush(piece.dedges, (2 - common, min(v, w), max(v, w)))
+            if not nv.isdisjoint(self.nadj[w]):
+                heappush(piece.dedges, (2 - len(nv & self.nadj[w]), min(v, w), max(v, w)))
 
     def _low_key(self, v: int) -> int:
         """1 or 2 for a vertex with that many distinct neighbors, 3 for any
@@ -178,28 +159,35 @@ class _State:
         return sorted(v for v in piece.members if self.owner[v] is piece)
 
     def lowest(self, piece: _Piece) -> int:
-        return _top(piece.members, lambda v: self.owner[v] is piece)
+        heap, owner = piece.members, self.owner
+        while heap and owner[heap[0]] is not piece:
+            heappop(heap)
+        return heap[0]
 
     def lowest_low(self, piece: _Piece) -> Optional[tuple[int, int]]:
         """(key, v) for the lowest vertex of degree 1, else of degree 2, else
         the lowest vertex that is not simple degree 3 (see `_low_key`)."""
-        return _top(
-            piece.low, lambda e: self.owner[e[1]] is piece and self._low_key(e[1]) == e[0]
-        )
+        heap, owner = piece.low, self.owner
+        while heap:
+            key, v = heap[0]
+            if owner[v] is piece and self._low_key(v) == key:
+                return heap[0]
+            heappop(heap)
+        return None
 
     def d_edge(self, piece: _Piece) -> Optional[tuple[int, int]]:
         """Lowest d-edge of `piece` in two triangles, else in one, else the
         lowest of all.  `note` pushes a d-edge whenever its triangle count
         changes, so a key-2 entry tops the heap only when every count is 0."""
-
-        def valid(e: tuple[int, int, int]) -> bool:
-            key, u, v = e
-            if self.owner[u] is not piece or v not in self.dadj[u]:
-                return False
-            return key == 2 - len(self.nadj[u] & self.nadj[v])
-
-        e = _top(piece.dedges, valid)
-        return None if e is None else e[1:]
+        heap, owner, nadj = piece.dedges, self.owner, self.nadj
+        while heap:
+            key, u, v = heap[0]
+            if owner[u] is piece and v in self.dadj[u]:
+                nu, nv = nadj[u], nadj[v]
+                if key == (2 if nu.isdisjoint(nv) else 2 - len(nu & nv)):
+                    return u, v
+            heappop(heap)
+        return None
 
     def config_a(self, piece: _Piece) -> Optional[ConfigurationA]:
         """What `_find_config_a(self, members)` returns, from the lowest
@@ -214,8 +202,15 @@ class _State:
         x = u, via d).  `apply` pushes those c values, so a candidate
         dropped for having no occurrence never needs to come back unless
         it is pushed again."""
-        c = _top(piece.cand, lambda c: self.owner[c] is piece and _find_config_a(self, (c,)))
-        return None if c is None else _find_config_a(self, (c,))
+        heap = piece.cand
+        while heap:
+            c = heap[0]
+            if self.owner[c] is piece:
+                cfg = _find_config_a(self, (c,))
+                if cfg is not None:
+                    return cfg
+            heappop(heap)
+        return None
 
     def apply(
         self, piece: _Piece, removed: set[int], added: list[tuple[int, int]]
@@ -234,19 +229,41 @@ class _State:
         pieces = self._split(piece, sorted(touched))
         for v in touched:
             self.note(v)
-        for x in ends:
-            for y in self.neighbors(x) | {x}:
-                for c in self.cadj[y] | {y}:
-                    if len(self.cadj[c]) == 3:
-                        heappush(self.owner[c].cand, c)
-        return sorted(pieces, key=self.lowest)
+        # each end, its neighbors and their c-neighbors, each pushed once
+        near = set(ends).union(*(self.nadj[x] for x in ends))
+        for c in near.union(*(self.cadj[y] for y in near)):
+            if len(self.cadj[c]) == 3:
+                heappush(self.owner[c].cand, c)
+        return pieces if len(pieces) == 1 else sorted(pieces, key=self.lowest)
 
-    def new_piece(self, vertices: list[int]) -> _Piece:
-        """A pending component of `vertices`, levelled from its largest member."""
+    def new_piece(self, levels: dict[int, int]) -> _Piece:
+        """A pending component with the BFS `levels` of all its vertices
+        from its largest member, the root, listed first.
+
+        One pass sets each vertex's owner and level and lists its heap
+        entries: the keys `note` pushes, plus a key-2 entry for every
+        d-edge, which `note` never pushes; then each heap is built once."""
         piece = _Piece()
-        for v in vertices:
-            self.enter(piece, v)
-        self._relevel(piece, max(vertices))
+        owner, level, cadj, dadj, nadj = self.owner, self.level, self.cadj, self.dadj, self.nadj
+        low, cand, dedges = piece.low, piece.cand, piece.dedges
+        for v, d in levels.items():
+            owner[v] = piece
+            level[v] = d
+            nv, nc = nadj[v], len(cadj[v])
+            nd = len(nv)
+            if nc == 3:
+                cand.append(v)
+            if nd != 3 or nc + len(dadj[v]) != 3:
+                low.append((nd if nd in (1, 2) else 3, v))
+            for w in dadj[v]:
+                if v < w:
+                    dedges.append((2, v, w))
+                    if not nv.isdisjoint(nadj[w]):
+                        dedges.append((2 - len(nv & nadj[w]), v, w))
+        piece.members = members = list(levels)
+        piece.size, piece.root = len(members), members[0]
+        for heap in (members, low, cand, dedges):
+            heapify(heap)
         return piece
 
     def _relevel(self, piece: _Piece, root: int) -> None:
@@ -287,8 +304,9 @@ class _State:
         the vertices next to the removed ones, proves in the common case
         that nothing split.  In lockstep with it, one search per start
         runs; searches that meet merge, and once at most one is open, each
-        closed search is a whole piece and moves to a new `_Piece`, while
-        the open one (or the largest, if all closed) stays `piece`.  Either
+        closed search is a whole piece, levelled by one BFS from its largest
+        member and built in one pass by `new_piece`, while the open one (or
+        the largest, if all closed) stays `piece`.  Either
         way the cost is about that of the cheaper of the two; the searches
         start only after a few repair steps, which usually suffice, and a
         repair longer than the piece gives way to levelling afresh."""
@@ -327,7 +345,7 @@ class _State:
         pieces = [piece]
         for vertices in closed:
             if vertices is not kept:
-                pieces.append(self.new_piece(vertices))
+                pieces.append(self.new_piece(bfs_levels(self.nadj.__getitem__, max(vertices))))
                 piece.size -= pieces[-1].size
         if not (self.owner[piece.root] is piece and self._repair(piece, check, piece.size)):
             self._relevel(piece, max(v for v in piece.members if self.owner[v] is piece))
@@ -347,6 +365,11 @@ def construct_two_limited(tm: Graph | TypedMultigraph) -> tuple[frozenset[int], 
     every vertex degree (both edge types counted) at most 3, and no
     connected component is a K4 made entirely of c-edges.  The returned
     set always verifies; the trace records every reduction.
+
+    Set-up finds each component by one BFS from its largest member, which
+    also gives the levels `_split` repairs; a connected input takes one
+    BFS, from vertex n - 1.  Sets and traces depend only on which
+    vertices make up each piece, so the levels change only the cost.
     """
     if isinstance(tm, Graph):
         tm = TypedMultigraph.from_graph(tm)
@@ -361,10 +384,15 @@ def construct_two_limited(tm: Graph | TypedMultigraph) -> tuple[frozenset[int], 
         )
     steps: list[ReductionStep] = []
     chosen: set[int] = set()
-    # pieces are pushed in reverse so the lowest is reduced next: the
-    # induction's depth-first order
-    stack = [st.new_piece(comp) for comp in components_within(st.neighbors, range(tm.n))]
-    stack.reverse()
+    # the largest vertex not yet in a piece is the largest of its
+    # component; pieces are pushed in reverse so the lowest is reduced
+    # next: the induction's depth-first order
+    stack = [
+        st.new_piece(bfs_levels(st.nadj.__getitem__, v))
+        for v in reversed(range(tm.n))
+        if st.owner[v] is None
+    ]
+    stack.sort(key=st.lowest, reverse=True)
     while stack:
         piece = stack.pop()
         rule, removed, added, pick = _reduce_component(st, piece)

@@ -1,7 +1,11 @@
 """Guards for the incremental cubic n/3 construction and the Brooks cut-vertex pass.
 
 * every incremental query of `construct_two_limited` is checked, at every
-  step, against a full scan of its component (the oracle fixture);
+  step, against a full scan of its component, and so is every piece the
+  set-up or a split builds (the oracle fixture);
+* the BFS levels change only the cost: rooting every piece at its
+  smallest member and deciding every split by search alone gives the
+  same sets and traces;
 * seeded sets and traces at n = 2000-8000, too large for the recursive
   reference in ``reference_cubic``, hash as they did before the queries
   became incremental, and so do those of a shuffled binary tree and comb,
@@ -114,15 +118,17 @@ def _component(st, piece) -> list[int]:
     return comp
 
 
+def _degree_key(st, u) -> int:
+    """1 or 2 for that many distinct neighbors, 3 for any other vertex
+    that is not simple degree 3, 0 for a simple one."""
+    nd = len(st.neighbors(u))
+    if nd in (1, 2):
+        return nd
+    return 3 if nd != 3 or len(st.cadj[u]) + len(st.dadj[u]) != 3 else 0
+
+
 def _scan_low(st, comp):
-    for key in (1, 2):
-        for u in comp:
-            if len(st.neighbors(u)) == key:
-                return key, u
-    for u in comp:
-        if len(st.neighbors(u)) != 3 or len(st.cadj[u]) + len(st.dadj[u]) != 3:
-            return 3, u
-    return None
+    return min(((k, u) for u in comp if (k := _degree_key(st, u))), default=None)
 
 
 def _scan_d_edge(st, comp, triangles):
@@ -133,24 +139,62 @@ def _scan_d_edge(st, comp, triangles):
     return None
 
 
+def _check_levels(st, piece):
+    """Every vertex of `piece` but its root has a strictly lower neighbor."""
+    for v in _component(st, piece):
+        assert v == piece.root or any(st.level[w] < st.level[v] for w in st.neighbors(v))
+
+
+def _check_new_piece(st, piece):
+    """A piece as built holds an entry for every vertex and d-edge that
+    qualifies: its degree key, each c-degree-3 vertex as a candidate,
+    and each d-edge's triangle key together with the key-2 entry that
+    stands for it once its triangles are gone."""
+    comp = _component(st, piece)
+    _check_levels(st, piece)
+    assert sorted(piece.members) == comp
+    low, cand, dedges = set(piece.low), set(piece.cand), set(piece.dedges)
+    for u in comp:
+        assert not _degree_key(st, u) or (_degree_key(st, u), u) in low
+        assert len(st.cadj[u]) != 3 or u in cand
+        for v in st.dadj[u]:
+            common = len(st.neighbors(u) & st.neighbors(v))
+            assert u > v or {(2, u, v), (2 - common, u, v)} <= dedges
+
+
 @pytest.fixture
 def oracle(monkeypatch):
     """Wrap each incremental query of `_State` with an assertion that it
-    equals the full scan; yields a counter of the answers seen."""
+    equals the full scan, and each new piece with `_check_new_piece`;
+    yields a counter of the answers seen."""
     seen: Counter = Counter()
     State = cubic._State
+    active = []  # the wrapped queries running, outermost first
 
     def wrap(name, check):
         original = getattr(State, name)
 
         def wrapped(st, piece, *args):
             before = _component(st, piece)
+            active.append(name)
             result = original(st, piece, *args)
+            active.pop()
             check(st, before, args, result)
             seen[name, result is not None and result != []] += 1
             return result
 
         monkeypatch.setattr(State, name, wrapped)
+
+    original_new_piece = State.new_piece
+
+    def new_piece(st, levels):
+        piece = original_new_piece(st, levels)
+        _check_new_piece(st, piece)
+        if not active:  # set-up: one piece of all n vertices iff the input is connected
+            seen["set-up", piece.size == len(st.owner)] += 1
+        return piece
+
+    monkeypatch.setattr(State, "new_piece", new_piece)
 
     def check_low(st, comp, args, result):
         assert result == _scan_low(st, comp)
@@ -170,9 +214,8 @@ def oracle(monkeypatch):
         rest = [v for v in comp if v not in removed]
         assert [_component(st, p) for p in pieces] == components_within(st.neighbors, rest)
         seen["split", len(pieces) > 1] += 1
-        for p in pieces:  # every vertex but the root has a lower neighbor
-            for v in _component(st, p):
-                assert v == p.root or any(st.level[w] < st.level[v] for w in st.neighbors(v))
+        for p in pieces:
+            _check_levels(st, p)
 
     wrap("lowest_low", check_low)
     wrap("config_a", check_config_a)
@@ -182,9 +225,10 @@ def oracle(monkeypatch):
     return seen
 
 
-def test_incremental_queries_match_full_scans(oracle):
+def _typed_corpus() -> list[TypedMultigraph]:
+    """500 seeded typed multigraphs and the graphs of the special subcases."""
     graphs = [corpus.random_typed_multigraph(s, 4 + (s * 7) % 60) for s in range(500)]
-    graphs += [
+    return graphs + [
         corpus.configuration_a_graph(),
         corpus.degree_one_addition_graph(),
         corpus.degree_two_special_graph(),
@@ -195,13 +239,17 @@ def test_incremental_queries_match_full_scans(oracle):
         corpus.no_triangle_triple_graph(),
         corpus.no_triangle_quad_graph(),
     ]
+
+
+def test_incremental_queries_match_full_scans(oracle):
+    graphs = _typed_corpus()
     graphs += [TypedMultigraph.from_graph(gen_random_regular(n, 3, n)) for n in (120, 300)]
     rules = Counter()
     for tm in graphs:
         _, trace = construct_two_limited(tm)
         rules.update(step.rule for step in trace.steps)
     # every query answered both ways, and the runs reached every rule
-    for name in ("lowest_low", "config_a", "d_edge", "apply", "split"):
+    for name in ("lowest_low", "config_a", "d_edge", "apply", "split", "set-up"):
         assert oracle[name, True] and oracle[name, False], name
     assert set(rules) == {
         "base-case", "brooks", "configuration-A", "degree-1", "degree-2",
@@ -209,6 +257,35 @@ def test_incremental_queries_match_full_scans(oracle):
         "d-edge-one-triangle-c-k4", "d-edge-no-triangle", "d-edge-no-triangle-c-k4-pair",
         "d-edge-no-triangle-c-k4-triple", "d-edge-no-triangle-c-k4-quad",
     }
+
+
+def test_levels_change_only_the_cost(monkeypatch):
+    """Sets and traces depend only on which vertices make up each piece:
+    rooting every piece at its smallest member, where the construction
+    roots it at its largest, and giving the level repair no steps, so
+    every split is decided by the lockstep search, changes neither."""
+    graphs = [*_typed_corpus(), TypedMultigraph.from_graph(_comb())]
+    expected = [construct_two_limited(tm) for tm in graphs]
+    State = cubic._State
+    relevel, new_piece, repair = State._relevel, State.new_piece, State._repair
+
+    def at_smallest(st, piece, root):
+        relevel(st, piece, min(v for v in piece.members if st.owner[v] is piece))
+
+    def new_piece_at_smallest(st, levels):
+        piece = new_piece(st, levels)
+        at_smallest(st, piece, piece.root)
+        return piece
+
+    def no_steps(st, piece, check, steps):
+        return repair(st, piece, check, 0)
+
+    monkeypatch.setattr(State, "_relevel", at_smallest)
+    monkeypatch.setattr(State, "new_piece", new_piece_at_smallest)
+    monkeypatch.setattr(State, "_repair", no_steps)
+    for tm, (chosen, trace) in zip(graphs, expected):
+        again, again_trace = construct_two_limited(tm)
+        assert again == chosen and again_trace.to_text() == trace.to_text()
 
 
 # ---------------------------------------------------------------- Brooks
