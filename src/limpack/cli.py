@@ -67,9 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_solve = sub.add_parser("solve", help="exact optimum by branch and bound")
-    p_solve.add_argument("--dominating", action="store_true")
-    p_solve.add_argument("--l", type=int)
-    p_solve.add_argument("--k", type=int, help="packing limit; not used with --dominating")
+    _add_limit(p_solve)
     p_solve.add_argument("file")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -86,10 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=_cmd_construct)
 
     p_ver = sub.add_parser("verify", help="check a packing or dominating set file")
-    p_ver.add_argument("--k", type=int, help="packing limit; not used with --dominating")
+    _add_limit(p_ver)
     p_ver.add_argument("--packing", required=True)
-    p_ver.add_argument("--dominating", action="store_true")
-    p_ver.add_argument("--l", type=int)
     p_ver.add_argument("graph")
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -107,6 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
+
+
+def _add_limit(parser: argparse.ArgumentParser) -> None:
+    """The limit names the problem: --k a k-limited packing, --l an
+    l-tuple dominating set.  Exactly one is given."""
+    limit = parser.add_mutually_exclusive_group(required=True)
+    limit.add_argument("--k", type=int, help="solve or check a K-limited packing")
+    limit.add_argument("--l", type=int, help="solve or check an L-tuple dominating set")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -143,12 +147,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 class _UsageError(Exception):
     pass
-
-
-def _check_k(args, command: str) -> None:
-    """--k is needed exactly when the command checks or solves a packing."""
-    if not args.dominating and args.k is None:
-        raise _UsageError(f"{command} needs --k (or --dominating with --l)")
 
 
 def _read_text(path: str) -> str:
@@ -192,14 +190,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _check_k(args, "solve")
     text = _read_text(args.file)
     # refuse a graph over the solvers' limit before building its n vertices
     _check_size(read_edge_lines(text)[0])
     g = _plain_graph(parse_graph(text), args.file, "solve")
-    if args.dominating:
-        if args.l is None:
-            raise _UsageError("solve --dominating needs --l")
+    if args.l is not None:
         result = min_tuple_dominating(g, args.l)
     else:
         result = max_k_limited(g, args.k)
@@ -253,18 +248,15 @@ def _construct(method: str, g, k: int, seed: int = 0, p=None, max_rounds: int = 
 
 
 def _cmd_verify(args) -> int:
-    _check_k(args, "verify")
     parsed = _read_graph(args.graph)
     vertices = parse_packing(_read_text(args.packing))
     if isinstance(parsed, TypedMultigraph):
-        if args.dominating:
+        if args.l is not None:
             raise GraphInputError("typed multigraphs support packing verification only")
         if args.k != 2:
             raise GraphInputError("typed multigraphs support only --k 2")
         report = verify_typed_two_limited(parsed, vertices)
-    elif args.dominating:
-        if args.l is None:
-            raise _UsageError("verify --dominating needs --l")
+    elif args.l is not None:
         report = verify_tuple_dominating(parsed, vertices, args.l)
     else:
         report = verify_k_limited(parsed, vertices, args.k)

@@ -115,9 +115,6 @@ class _State:
         self.owner: list[Optional[_Piece]] = [None] * tm.n
         self.level = [0] * tm.n
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.nadj[v]
-
     def remove(self, vertices: Iterable[int]) -> None:
         """Delete every edge incident to `vertices`, leaving them isolated."""
         for v in vertices:
@@ -218,7 +215,7 @@ class _State:
         """Remove `removed`, add the c-edges `added`, and return what is
         left of `piece` as pieces ordered by smallest member."""
         # the added c-edges join vertices next to removed ones
-        touched = {x for v in removed for x in self.neighbors(v)} - removed
+        touched = {x for v in removed for x in self.nadj[v]} - removed
         ends = {x for e in added for x in e}
         self.remove(removed)
         for x, y in added:
@@ -348,7 +345,10 @@ class _State:
                 pieces.append(self.new_piece(bfs_levels(self.nadj.__getitem__, max(vertices))))
                 piece.size -= pieces[-1].size
         if not (self.owner[piece.root] is piece and self._repair(piece, check, piece.size)):
-            self._relevel(piece, max(v for v in piece.members if self.owner[v] is piece))
+            # drop the removed vertices the lazy heap still holds
+            members = piece.members = [v for v in piece.members if self.owner[v] is piece]
+            heapify(members)
+            self._relevel(piece, max(members))
         return pieces
 
 
@@ -463,7 +463,7 @@ def _brooks_class(st: _State, comp: list[int]) -> _Step:
 def _reduce_degree_one(st: _State, u: int) -> _Step:
     """Vertex u adjacent to a single other vertex v: remove {u, v}, add the
     c-edge between v's other two neighbors only when the proof needs it."""
-    (v,) = st.neighbors(u)
+    (v,) = st.nadj[u]
     removed = {u, v}
     _, added, k4s = _plan(st, [(v, u)], removed)
     if k4s:
@@ -493,7 +493,7 @@ def _needed_pair(
     Needed exactly when z keeps two surviving neighbors p1, p2, the edges
     z-anchor, z-p1, z-p2 are all d-edges, and p1p2 is not already a c-edge.
     """
-    survivors = sorted(st.neighbors(z) - removed)
+    survivors = sorted(st.nadj[z] - removed)
     if len(survivors) != 2:
         return None
     p1, p2 = survivors
@@ -513,7 +513,7 @@ def _reduce_degree_two(st: _State, u: int, piece: _Piece) -> _Step:
 
     When the two added edges would together complete a c-K4 the component
     has exactly 7 vertices and pair(v) plus w is already 2-limited."""
-    v, w = sorted(st.neighbors(u))
+    v, w = sorted(st.nadj[u])
     removed = {u, v, w}
     (pair_v, _), added, k4s = _plan(st, [(v, u), (w, u)], removed)
     if k4s:
@@ -530,7 +530,7 @@ def _reduce_d_edge(st: _State, piece: _Piece) -> _Step:
     the lowest d-edge; the graph here is simple, 3-regular, and has a
     d-edge (an all-c component would have been 3-colored instead)."""
     u, v = st.d_edge(piece)
-    common = sorted(st.neighbors(u) & st.neighbors(v))
+    common = sorted(st.nadj[u] & st.nadj[v])
     if len(common) == 2:
         return _two_triangles(st, u, v, common)
     if common:
@@ -541,15 +541,15 @@ def _reduce_d_edge(st: _State, piece: _Piece) -> _Step:
 def _two_triangles(st: _State, u: int, v: int, common: list[int]) -> _Step:
     b, c = common
     removed = {u, v, b, c}
-    removed |= st.neighbors(b) - {u, v}
-    removed |= st.neighbors(c) - {u, v}
+    removed |= st.nadj[b] - {u, v}
+    removed |= st.nadj[c] - {u, v}
     return "d-edge-two-triangles", removed, [], {u, v}
 
 
 def _one_triangle(st: _State, u: int, v: int, w: int) -> _Step:
-    (a,) = st.neighbors(u) - {v, w}
-    (b,) = st.neighbors(v) - {u, w}
-    removed = {u, v, w, a, b} | (st.neighbors(w) - {u, v})
+    (a,) = st.nadj[u] - {v, w}
+    (b,) = st.nadj[v] - {u, w}
+    removed = {u, v, w, a, b} | (st.nadj[w] - {u, v})
     (pair_a, _), added, k4s = _plan(st, [(a, u), (b, v)], removed)
     if k4s:
         k4, inside = k4s[0]
@@ -564,8 +564,8 @@ def _one_triangle(st: _State, u: int, v: int, w: int) -> _Step:
 
 
 def _no_triangle(st: _State, u: int, v: int, size: int) -> _Step:
-    a, b = sorted(st.neighbors(u) - {v})
-    c, d = sorted(st.neighbors(v) - {u})
+    a, b = sorted(st.nadj[u] - {v})
+    c, d = sorted(st.nadj[v] - {u})
     if len({a, b, c, d}) != 4:
         raise InternalError("internal error: triangle-free d-edge with shared neighbors")
     removed = {u, v, a, b, c, d}
@@ -612,8 +612,8 @@ def _find_config_a(st: _State, verts: Iterable[int]) -> Optional[ConfigurationA]
                 for b in commons:
                     if b == d or b in st.cadj[d]:
                         continue
-                    for u in sorted((st.neighbors(d) & st.neighbors(b)) - {a, c}):
-                        for v in sorted(st.neighbors(u) - {a, b, c, d}):
+                    for u in sorted((st.nadj[d] & st.nadj[b]) - {a, c}):
+                        for v in sorted(st.nadj[u] - {a, b, c, d}):
                             return ConfigurationA(a=a, b=b, c=c, d=d, u=u, v=v)
     return None
 

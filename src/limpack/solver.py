@@ -69,7 +69,6 @@ independent yardstick the rest of the package is tested against.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -128,24 +127,22 @@ def min_tuple_dominating(g: Graph, l: int) -> SolveResult:
     return SolveResult(g.n - kept.optimum, tuple(dominating), kept.nodes_explored)
 
 
-def enumerate_oracle(
-    g: Graph,
-    k: Optional[int] = None,
-    mode: str = "packing",
-    l: Optional[int] = None,
-) -> int:
-    """Exhaustive scan over all subsets; no pruning; test use only (n <= 20)."""
-    for name, value in (("k", k), ("l", l)):
-        if value is not None:
-            _check_arg(name, value, 1)
+def enumerate_oracle(g: Graph, k: Optional[int] = None, l: Optional[int] = None) -> int:
+    """Exhaustive scan over all subsets; no pruning; test use only (n <= 20).
+
+    The limit names the problem, as in the solvers: given k, the largest
+    k-limited packing; given l, the smallest l-tuple dominating set.
+    Exactly one of the two must be given."""
+    if (k is None) == (l is None):
+        raise GraphInputError("enumerate_oracle needs exactly one of k and l")
+    name, limit = ("k", k) if l is None else ("l", l)
+    _check_arg(name, limit, 1)
     if g.n > ORACLE_VERTEX_LIMIT:
         raise ResourceLimitError(
             f"enumerate_oracle is limited to {ORACLE_VERTEX_LIMIT} vertices, got {g.n}"
         )
     masks = [(1 << v) | sum(1 << u for u in g.adj[v]) for v in range(g.n)]
-    if mode == "packing":
-        if k is None:
-            raise GraphInputError("packing mode needs a positive k")
+    if l is None:
         best = 0
         for s in range(1 << g.n):
             if all((s & m).bit_count() <= k for m in masks):
@@ -153,19 +150,15 @@ def enumerate_oracle(
                 if size > best:
                     best = size
         return best
-    if mode == "domination":
-        if l is None:
-            raise GraphInputError("domination mode needs a positive l")
-        best = None
-        for s in range(1 << g.n):
-            if all((s & m).bit_count() >= l for m in masks):
-                size = s.bit_count()
-                if best is None or size < best:
-                    best = size
-        if best is None:
-            raise InfeasibleError(f"no {_show(l)}-tuple dominating set exists")
-        return best
-    raise GraphInputError(f"unknown oracle mode {reprlib.repr(mode)} (packing or domination)")
+    best = None
+    for s in range(1 << g.n):
+        if all((s & m).bit_count() >= l for m in masks):
+            size = s.bit_count()
+            if best is None or size < best:
+                best = size
+    if best is None:
+        raise InfeasibleError(f"no {_show(l)}-tuple dominating set exists")
+    return best
 
 
 def _check_size(n: int) -> None:

@@ -74,16 +74,12 @@ def _check_subset(vertices: Iterable[int], n: int) -> frozenset[int]:
     """The members as a set of vertices, each an int (not a bool) in range.
 
     The check runs on the set, where 1.0 or True beside an equal int 1
-    that comes first has already merged into it.  Only a set that fails
-    the bulk test (every member's type is int, the least and the largest
-    are in range) is walked member by member, for the first offender."""
+    that comes first has already merged into it; the first offender
+    found raises."""
     xs = frozenset(vertices)
-    # Sorting a set of ints costs less than taking its min and its max.
-    ordered = sorted(xs) if {*map(type, xs)} <= {int} else None
-    if ordered is None or ordered and not (0 <= ordered[0] and ordered[-1] < n):
-        for v in xs:
-            if type(v) is not int or not 0 <= v < n:
-                _check_endpoint(v, n)  # raises the message for this member
+    for v in xs:
+        if type(v) is not int or not 0 <= v < n:
+            _check_endpoint(v, n)  # raises the message for this member
     return xs
 
 

@@ -116,7 +116,7 @@ ROWS = [
     ("sample_and_repair", "seed", lambda x: sample_and_repair(C5, 1, seed=x), ANY_INT),
     ("enumerate_oracle", "k", lambda x: enumerate_oracle(C5, x), "10**400"),
     # a huge l once wrote itself in full in the infeasibility message
-    ("enumerate_oracle", "l", lambda x: enumerate_oracle(C5, mode="domination", l=x), ""),
+    ("enumerate_oracle", "l", lambda x: enumerate_oracle(C5, l=x), ""),
     ("max_k_limited", "k", lambda x: max_k_limited(C5, x), "10**400"),
     ("min_tuple_dominating", "l", lambda x: min_tuple_dominating(C5, x), ""),
     ("dual_complement", "k", lambda x: dual_complement(C5, [0], x), ""),

@@ -10,7 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from limpack import Graph, degree_stats, gen_named, gen_random_regular, parse_graph, serialize_graph
+from limpack import (
+    Graph,
+    degree_stats,
+    gen_cycle,
+    gen_named,
+    gen_random_regular,
+    min_tuple_dominating,
+    parse_graph,
+    serialize_graph,
+    serialize_packing,
+    verify_tuple_dominating,
+)
 from limpack.cli import main
 
 
@@ -83,14 +94,14 @@ def test_gen_input_error(tmp_path, capsys):
 
 def test_solve_dominating(tmp_path, capsys):
     path = write_graph(tmp_path, "c4.graph", parse_graph("4 4\n0 1\n1 2\n2 3\n3 0\n"))
-    code, stdout, _ = run_cli(capsys, "solve", "--dominating", "--l", "1", "--k", "1", path)
+    code, stdout, _ = run_cli(capsys, "solve", "--l", "1", path)
     assert code == 0
     assert stdout.splitlines()[0] == "optimum: 2"
 
 
 def test_solve_infeasible_exits_one(tmp_path, capsys):
     path = write_graph(tmp_path, "p.graph", gen_named("petersen"))
-    code, _, err = run_cli(capsys, "solve", "--dominating", "--l", "9", "--k", "1", path)
+    code, _, err = run_cli(capsys, "solve", "--l", "9", path)
     assert code == 1
     assert "infeasible" in err
 
@@ -166,7 +177,7 @@ def test_out_of_memory_exits_three(tmp_path):
     assert "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize("argv", [["--k", "1"], ["--dominating", "--l", "1"]])
+@pytest.mark.parametrize("argv", [["--k", "1"], ["--l", "1"]])
 def test_solve_checks_vertex_limit_before_building(tmp_path, argv):
     """A header over the solvers' vertex limit is refused before the
     adjacency of its n vertices is built, even under a small memory cap
@@ -305,21 +316,9 @@ def test_verify_dominating(tmp_path, capsys):
     ppath = tmp_path / "dom.txt"
     ppath.write_text("0 2\n")
     code, stdout, _ = run_cli(
-        capsys, "verify", "--dominating", "--l", "1", "--k", "1", "--packing", str(ppath), gpath
+        capsys, "verify", "--l", "1", "--packing", str(ppath), gpath
     )
     assert code == 0
-
-
-def test_dominating_needs_no_k(tmp_path, capsys):
-    gpath = write_graph(tmp_path, "c4.graph", parse_graph("4 4\n0 1\n1 2\n2 3\n3 0\n"))
-    ppath = tmp_path / "dom.txt"
-    ppath.write_text("0 2\n")
-    with_k = run_cli(capsys, "solve", "--dominating", "--l", "2", "--k", "1", gpath)
-    assert run_cli(capsys, "solve", "--dominating", "--l", "2", gpath) == with_k
-    assert with_k[0] == 0
-    verify = ["verify", "--dominating", "--l", "1", "--packing", str(ppath), gpath]
-    assert run_cli(capsys, *verify) == run_cli(capsys, *verify, "--k", "3")
-    assert run_cli(capsys, *verify)[0] == 0
 
 
 def test_packing_without_k_is_a_usage_error(tmp_path, capsys):
@@ -337,7 +336,53 @@ def test_packing_without_k_is_a_usage_error(tmp_path, capsys):
         code, stdout, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert stdout == ""
-        assert err.startswith("usage error: ") and "--k" in err
+        last = err.splitlines()[-1]
+        assert last == f"limpack {argv[0]}: error: one of the arguments --k --l is required"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--k", "1", "--l", "2", "GRAPH"],
+        ["verify", "--k", "1", "--l", "3", "--packing", "PACKING", "GRAPH"],
+    ],
+    ids=["solve", "verify"],
+)
+def test_k_and_l_together_are_a_usage_error(tmp_path, capsys, argv):
+    """The limit names the problem, so giving both is a usage error, not
+    one dropped in favour of the other: {0, 3} is a 1-limited packing of
+    C6 but not 3-tuple dominating.  Neither limit is the case of
+    `test_packing_without_k_is_a_usage_error`."""
+    (tmp_path / "GRAPH").write_text(serialize_graph(gen_cycle(6)))
+    (tmp_path / "PACKING").write_text("0 3\n")
+    argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"usage: limpack {argv[0]} [-h] (--k K | --l L)")
+    assert err.splitlines()[-1] == (
+        f"limpack {argv[0]}: error: argument --l: not allowed with argument --k"
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_cycle(6), gen_named("petersen"), gen_named("h6"), gen_random_regular(20, 3, 5)],
+    ids=["c6", "petersen", "h6", "cubic20"],
+)
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_l_solves_and_checks_tuple_domination(tmp_path, capsys, g, l):
+    """`--l` alone selects domination: `solve` prints the library's
+    optimum, and `verify` prints the library's report on the witness
+    (exit 0) and on the witness less its first member (exit 1)."""
+    gpath = write_graph(tmp_path, "g.graph", g)
+    result = min_tuple_dominating(g, l)
+    assert run_cli(capsys, "solve", "--l", str(l), gpath) == (0, result.to_text(), "")
+    ppath = tmp_path / "d.txt"
+    for members, code in ((result.witness, 0), (result.witness[1:], 1)):
+        ppath.write_text(serialize_packing(members))
+        report = verify_tuple_dominating(g, members, l)
+        got = run_cli(capsys, "verify", "--l", str(l), "--packing", str(ppath), gpath)
+        assert got == (code, report.to_text(), "")
 
 
 def test_verify_typed_graph(tmp_path, capsys):
@@ -429,6 +474,24 @@ def test_construct_lll_succeeds_in_its_last_round(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.splitlines()[1:4] == ["rounds: 8", "clamped: true", "success: true"]
+    argv = ["construct", "--method", "lll", "--k", "2", "--seed", "5", "--max-rounds", "7", gpath]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 1  # a failed run still prints its report and witness
+    assert stdout.splitlines()[1:4] == ["rounds: 7", "clamped: true", "success: false"]
+
+
+def test_seed_defaults_to_zero(tmp_path, capsys):
+    """Leaving out --seed is --seed 0, for gen and for construct."""
+    gen = ["gen", "--family", "random-regular", "--n", "40", "--r", "3", "--out"]
+    assert run_cli(capsys, *gen, str(tmp_path / "a.graph"))[0] == 0
+    assert run_cli(capsys, *gen, str(tmp_path / "b.graph"), "--seed", "0")[0] == 0
+    assert (tmp_path / "a.graph").read_text() == (tmp_path / "b.graph").read_text()
+    gpath = str(tmp_path / "a.graph")
+    for method in ("sample-repair", "lll"):
+        default = run_cli(capsys, "construct", "--method", method, "--k", "2", gpath)
+        assert default == run_cli(
+            capsys, "construct", "--method", method, "--k", "2", "--seed", "0", gpath
+        )
 
 
 @pytest.mark.parametrize(
@@ -459,21 +522,18 @@ def test_construct_with_explicit_p(tmp_path, capsys, method, p, head, digest):
 @pytest.mark.parametrize(
     "argv, code, err",
     [
-        (["solve", "--dominating", "GRAPH"], 2, "usage error: solve --dominating needs --l\n"),
-        (["verify", "--dominating", "--packing", "PACKING", "GRAPH"], 2,
-         "usage error: verify --dominating needs --l\n"),
         (["gen", "--family", "projective", "--q", "2", "--out", "OUT"], 2,
          "usage error: gen --family projective needs --q and --k\n"),
         (["gen", "--family", "random-regular", "--n", "10", "--out", "OUT"], 2,
          "usage error: gen --family random-regular needs --n and --r\n"),
-        (["verify", "--dominating", "--l", "1", "--packing", "PACKING", "TYPED"], 3,
+        (["verify", "--l", "1", "--packing", "PACKING", "TYPED"], 3,
          "error: typed multigraphs support packing verification only\n"),
         # a trace once went unwritten, exit 0, for any method but cubic2
         (["construct", "--method", "greedy", "--k", "2", "--trace", "OUT", "GRAPH"], 2,
          "usage error: construct --trace needs --method cubic2\n"),
     ],
     ids=[
-        "solve-no-l", "verify-no-l", "projective-no-k", "regular-no-r", "verify-typed-dominating",
+        "projective-no-k", "regular-no-r", "verify-typed-dominating",
         "trace-without-cubic2",
     ],
 )
@@ -507,6 +567,12 @@ def test_bounds_from_file(tmp_path, capsys):
 def test_bounds_needs_flags_or_file(capsys):
     code, _, err = run_cli(capsys, "bounds", "--k", "2")
     assert code == 2
+    # any two of the three flags are not enough
+    for given in (["--n", "10", "--maxdeg", "3"], ["--n", "10", "--mindeg", "3"],
+                  ["--maxdeg", "3", "--mindeg", "3"]):
+        code, stdout, err = run_cli(capsys, "bounds", "--k", "2", *given)
+        assert (code, stdout) == (2, ""), given
+        assert err == "usage error: bounds needs either a graph file or --n, --maxdeg, --mindeg\n"
 
 
 def test_bench_table_properties(capsys):
@@ -525,17 +591,26 @@ def test_bench_table_properties(capsys):
 
 
 def test_bench_byte_identical(capsys):
+    """The same table on every run, and this one: every row of every method."""
+    import hashlib
+
     code1, out1, _ = run_cli(capsys, "bench", "--suite", "paper", "--no-timing")
     code2, out2, _ = run_cli(capsys, "bench", "--suite", "paper", "--no-timing")
     assert code1 == code2 == 0
     assert out1 == out2
+    digest = "ec932716b5c9a7fd42bc421481c6557d52afb24691d88d413765bdbb05fed4f8"
+    assert hashlib.sha256(out1.encode()).hexdigest() == digest
 
 
 def test_bench_timing_column(capsys):
     """Without --no-timing each row ends in one more column, time_ms, a
-    finite float >= 0; without that column the table is the --no-timing
-    table byte for byte."""
+    finite float >= 0 and no longer than the whole call; without that
+    column the table is the --no-timing table byte for byte."""
+    import time
+
+    start = time.perf_counter()
     code, timed, _ = run_cli(capsys, "bench", "--suite", "paper")
+    total_ms = (time.perf_counter() - start) * 1000.0
     assert code == 0
     code, untimed, _ = run_cli(capsys, "bench", "--suite", "paper", "--no-timing")
     assert code == 0
@@ -543,7 +618,7 @@ def test_bench_timing_column(capsys):
     assert timed_rows[0].endswith(" time_ms")
     for row in timed_rows[1:]:
         elapsed_ms = float(row.rsplit(" ", 1)[1])
-        assert math.isfinite(elapsed_ms) and elapsed_ms >= 0
+        assert math.isfinite(elapsed_ms) and 0 <= elapsed_ms <= total_ms
     assert "".join(row.rsplit(" ", 1)[0] + "\n" for row in timed_rows) == untimed
 
 
@@ -647,7 +722,7 @@ _COUNT_PARSER_BUILDS = textwrap.dedent(
         ["gen", "--family", "random-regular", "--n", "12", "--r", "3", "--out", "g.graph"],
         ["gen", "--family", "petersen", "--out", "p.graph"],
         ["solve", "--k", "2", "g.graph"],
-        ["solve", "--dominating", "--l", "1", "p.graph"],
+        ["solve", "--l", "1", "p.graph"],
         ["construct", "--method", "cubic2", "--k", "2", "g.graph"],
         ["construct", "--method", "greedy", "--k", "1", "p.graph"],
         ["verify", "--k", "2", "--packing", "w.txt", "g.graph"],
@@ -691,7 +766,7 @@ _ISOLATION_CASES = {
         ["construct", "--method", "sample-repair", "--k", "1", "g.graph"],
     ],
     "dominating-then-packing": [
-        ["verify", "--dominating", "--l", "1", "--packing", "p.txt", "g.graph"],
+        ["verify", "--l", "1", "--packing", "p.txt", "g.graph"],
         ["verify", "--k", "2", "--packing", "p.txt", "g.graph"],
     ],
     "copies-then-one": [

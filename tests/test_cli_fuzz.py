@@ -71,9 +71,9 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
 def _commands(graph: str, packing: str) -> list[list[str]]:
     return [
         ["solve", "--k", "2", graph],
-        ["solve", "--dominating", "--l", "2", graph],
+        ["solve", "--l", "2", graph],
         ["verify", "--k", "2", "--packing", packing, graph],
-        ["verify", "--dominating", "--l", "1", "--packing", packing, graph],
+        ["verify", "--l", "1", "--packing", packing, graph],
         ["construct", "--method", "cubic2", "--k", "2", graph],
         ["construct", "--method", "greedy", "--k", "1", graph],
         ["construct", "--method", "sample-repair", "--k", "2", "--seed", "3", graph],

@@ -5,7 +5,6 @@ import pytest
 
 from limpack import (
     Graph,
-    GraphInputError,
     InfeasibleError,
     ResourceLimitError,
     SolveResult,
@@ -60,7 +59,7 @@ def test_witness_is_valid_and_sized(small_corpus):
 
 def test_domination_examples(petersen, k4):
     assert min_tuple_dominating(gen_cycle(4), 1).optimum == 2
-    assert enumerate_oracle(gen_cycle(4), mode="domination", l=1) == 2
+    assert enumerate_oracle(gen_cycle(4), l=1) == 2
     assert min_tuple_dominating(k4, 4).optimum == 4
     l2 = max_k_limited(petersen, 2).optimum
     assert min_tuple_dominating(petersen, 2).optimum == 10 - l2
@@ -96,10 +95,6 @@ def test_oracle_rejects_large_graphs():
     big = Graph.from_edges(21, [])
     with pytest.raises(ResourceLimitError):
         enumerate_oracle(big, 1)
-    with pytest.raises(GraphInputError):
-        enumerate_oracle(gen_cycle(4), None, mode="packing")
-    with pytest.raises(GraphInputError):
-        enumerate_oracle(gen_cycle(4), 1, mode="weird")
 
 
 def test_oracle_agreement_packing(small_corpus):
@@ -118,7 +113,7 @@ def test_oracle_agreement_domination(small_corpus):
         for l in range(1, min(delta + 2, 5)):
             assert (
                 min_tuple_dominating(g, l).optimum
-                == enumerate_oracle(g, mode="domination", l=l)
+                == enumerate_oracle(g, l=l)
             )
 
 

@@ -74,7 +74,7 @@ def test_dp_matches_oracle(seed):
     for k in (1, 2, 3):
         assert _packing(g, k) == enumerate_oracle(g, k), ("k", k)
     for l in range(1, degree_stats(g).min_degree + 2):
-        assert _domination(g, l) == enumerate_oracle(g, mode="domination", l=l), ("l", l)
+        assert _domination(g, l) == enumerate_oracle(g, l=l), ("l", l)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -83,4 +83,4 @@ def test_dp_matches_oracle_on_cubic_16(seed):
     for k in (1, 2, 3):
         assert _packing(g, k) == enumerate_oracle(g, k), ("k", k)
     for l in (2, 3):
-        assert _domination(g, l) == enumerate_oracle(g, mode="domination", l=l), ("l", l)
+        assert _domination(g, l) == enumerate_oracle(g, l=l), ("l", l)

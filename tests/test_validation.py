@@ -102,7 +102,7 @@ CASES = [
      "k must be an int, got 1.5"),
     ("oracle-bool-k", lambda: enumerate_oracle(C5, True), GraphInputError,
      "k must be an int, got True"),
-    ("oracle-float-l", lambda: enumerate_oracle(C5, mode="domination", l=2.5), GraphInputError,
+    ("oracle-float-l", lambda: enumerate_oracle(C5, l=2.5), GraphInputError,
      "l must be an int, got 2.5"),
     ("dual-float-k", lambda: dual_complement(C5, [], 1.5), GraphInputError,
      "k must be an int, got 1.5"),
@@ -303,12 +303,12 @@ CASES = [
      ResourceLimitError, "graph has 65 vertices (limit 64); use the randomized constructors"
      " (sample_and_repair, lll_resample) for large instances"),
     # the oracle
-    ("oracle-no-l", lambda: enumerate_oracle(C5, mode="domination"), GraphInputError,
-     "domination mode needs a positive l"),
-    ("oracle-infeasible", lambda: enumerate_oracle(C5, mode="domination", l=4), InfeasibleError,
+    ("oracle-no-l", lambda: enumerate_oracle(C5), GraphInputError,
+     "enumerate_oracle needs exactly one of k and l"),
+    ("oracle-k-and-l", lambda: enumerate_oracle(C5, 1, l=1), GraphInputError,
+     "enumerate_oracle needs exactly one of k and l"),
+    ("oracle-infeasible", lambda: enumerate_oracle(C5, l=4), InfeasibleError,
      "no 4-tuple dominating set exists"),
-    ("oracle-mode", lambda: enumerate_oracle(C5, 2, mode="x"), GraphInputError,
-     "unknown oracle mode 'x' (packing or domination)"),
     ("gen_named-family", lambda: gen_named("x"), GraphInputError,
      "unknown graph family 'x' (h6, petersen, k4)"),
 ]
@@ -367,7 +367,6 @@ LONG = "x" * 500
 LONG_STRING_CALLS = [
     ("gen_named-family", lambda: gen_named(LONG)),
     ("typed-edge-type", lambda: TypedMultigraph.from_edges(3, [(0, 1, LONG)])),
-    ("oracle-mode", lambda: enumerate_oracle(C5, 2, mode=LONG)),
     ("parse_packing-token", lambda: parse_packing(LONG)),
 ]
 
