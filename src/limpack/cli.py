@@ -6,9 +6,11 @@ infeasible/failed solve, 2 usage error, 3 input error, 4 internal error
 its reader (as in ``limpack bench | head``).  All randomness
 takes an explicit --seed (default 0, never wall-clock), so identical
 invocations produce byte-identical reports; `bench --no-timing` drops
-the only non-deterministic column.  `main` builds its parser on the first
-call and reuses it for the rest of the process; each call parses into a
-fresh namespace, so in-process calls are independent of one another.
+the only non-deterministic column.  `bench --suite scale --json FILE`
+also writes the timed record of ``limpack.scale`` to FILE.  `main`
+builds its parser on the first call and reuses it for the rest of the
+process; each call parses into a fresh namespace, so in-process calls
+are independent of one another.
 """
 
 from __future__ import annotations
@@ -97,9 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("file", nargs="?")
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    p_bench = sub.add_parser("bench", help="reproduce the tightness examples")
-    p_bench.add_argument("--suite", required=True, choices=["paper"])
+    p_bench = sub.add_parser(
+        "bench", help="reproduce the tightness examples, or time exact solves"
+    )
+    p_bench.add_argument("--suite", required=True, choices=["paper", "scale"])
     p_bench.add_argument("--no-timing", action="store_true")
+    p_bench.add_argument("--json", help="scale: write the timed record to JSON")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
@@ -305,6 +310,14 @@ def _bench_rows():
 
 def _cmd_bench(args) -> int:
     show_timing = not args.no_timing
+    if (args.suite == "scale") != (args.json is not None):
+        raise _UsageError("--json is given exactly when --suite is scale")
+    if args.suite == "scale":
+        # imported here, not at the top: startup pays for every import of the CLI
+        from .scale import write
+
+        write(args.json, show_timing)
+        return 0
     header = "family n k method size exact upper"
     if show_timing:
         header += " time_ms"

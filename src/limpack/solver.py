@@ -8,14 +8,14 @@ members in each closed d-neighborhood N[v].  A k-limited packing has
 no c-edges and cap k everywhere (a typed multigraph, cap 2).
 Domination is the same search on the complement: D is l-tuple
 dominating exactly when Y = V - D has at most |N[v]| - l members in
-every N[v], so the smallest D is V minus the largest such Y.
+every N[v], so a minimum D is V minus a largest such Y.
 
 The witness comes from a fixed vertex order, most constraints first
 (descending degree, ties by index): it is the first optimal set in
 branching order, the one a search that keeps only strict improvements
 ends with.  A packing tries "include" first.  Domination tries "exclude
 from Y" first, which is "include in D" first, so its witness is the
-lexicographically first smallest D in that order.
+lexicographically first minimum D in that order.
 
 When every vertex lies in the same number of constraints, that order is
 index order and ignores the graph.  If the BFS order (each component
@@ -33,35 +33,39 @@ fixed-order search.
 At each node, call the undecided vertices that can still be selected
 "live".  Every constraint c can take at most min(cap_c, live_c) more
 members; cap_sum sums that over the constraints, live_size sums the
-constraint counts of the live vertices, and `fewest` and `most` are the
-smallest count of a live vertex and the largest of any vertex.  At most
-`addable` (the live vertices) more fit, and never more than:
-- cap_sum // fewest: each addition spends one unit of cap_sum in each of
-  its constraints (the paper's double-counting bound k·n/(δ+1), see
-  ``bounds.packing_upper``, on the residual instance);
-- addable + (cap_sum - live_size) // most: the live vertices left out
-  must cover the excess live_size - cap_sum, at most `most` each.
-A node is pruned only when its subtree cannot strictly improve on the
-incumbent, so the witness rule above is unaffected by the bound.  A node
-with no live vertex is a leaf.
+constraint counts of the live vertices, and `most` is the largest count
+of any vertex.  The bound has one term: at most
+addable + (cap_sum - live_size) // most more vertices fit, where
+`addable` counts the live vertices.  Each addition spends one unit of
+cap_sum in each of its constraints, so the live vertices left out must
+cover the excess live_size - cap_sum, at most `most` each.  When every
+vertex lies in the same number of constraints, live_size is
+addable·most and the term is cap_sum // most: the paper's
+double-counting bound k·n/(δ+1), see ``bounds.packing_upper``, on the
+residual instance.  A node is pruned only when its subtree cannot
+strictly improve on the incumbent, so the witness rule above is
+unaffected by the bound.  A node with no live vertex is a leaf.
 
 The engine never rescans the instance at a node.  ``_solve`` builds the
 constraint lists once per solve and hands them to each search.  The
-state kept in place: the residual caps; per vertex, the number of its
-constraints whose cap is 0 (it is selectable when that is 0, so a cap of
-0 at the root leaves its members unselectable from the start); per
-constraint, its live members; the number of live vertices with each
-constraint count.  The search updates these as it branches and undoes
-them as it backtracks.  addable, live_size and cap_sum are arguments of
-each node instead, so each branch works on its own copies and has
-nothing of them to undo.  A bound costs O(1) plus a short histogram
-scan.  Deciding a vertex takes it out of the live counts; including it
-also lowers the caps of its constraints, and a cap that reaches 0 makes
-all members of that constraint unselectable (the live ones leave the
-counts).  A branch thus costs O(Δ²) updates, plus O(Δ) for each vertex
-that becomes unselectable, and moves cap_sum by at most 1 per
-constraint.  Deciding an unselectable vertex changes no state, so a node
-steps over a run of them in one loop and counts one node for each.
+state kept in place: the residual caps; per vertex, `zero`, the number
+of its constraints whose cap is 0 (it is selectable when that is 0, so a
+cap of 0 at the root leaves its members unselectable from the start);
+per constraint, its live members.  The search updates these as it
+branches and undoes them as it backtracks.  addable, live_size and
+cap_sum are arguments of each node instead, so each branch works on its
+own copies and has nothing of them to undo.  A bound costs O(1), with no
+histogram of the live vertices.  Deciding a vertex takes it out of the
+live counts; including it also lowers the caps of its constraints, and a
+cap that reaches 0 makes all members of that constraint unselectable
+(the live ones leave the counts).  The vertex branched on holds one
+extra unit of `zero` until both its branches return, and every other
+decided vertex was stepped over as unselectable, so each decided vertex
+has a positive count and a vertex whose count rises to 1 is live until
+then.  A branch thus costs O(Δ²) updates, plus O(Δ) for each vertex that
+becomes unselectable, and moves cap_sum by at most 1 per constraint.
+Deciding an unselectable vertex changes no state, so a node steps over
+a run of them in one loop and counts one node for each.
 
 ``enumerate_oracle`` scans all 2^n subsets with no pruning and is the
 independent yardstick the rest of the package is tested against.
@@ -109,7 +113,7 @@ def max_typed_two_limited(tm: TypedMultigraph) -> SolveResult:
 
 
 def min_tuple_dominating(g: Graph, l: int) -> SolveResult:
-    """Smallest l-tuple dominating set of g.
+    """Minimum l-tuple dominating set of g.
 
     Feasible only when l <= min_degree + 1; solved as the complement
     packing (caps |N[v]| - l), so it also works on non-regular graphs.
@@ -131,7 +135,7 @@ def enumerate_oracle(g: Graph, k: Optional[int] = None, l: Optional[int] = None)
     """Exhaustive scan over all subsets; no pruning; test use only (n <= 20).
 
     The limit names the problem, as in the solvers: given k, the largest
-    k-limited packing; given l, the smallest l-tuple dominating set.
+    k-limited packing; given l, a minimum l-tuple dominating set.
     Exactly one of the two must be given."""
     if (k is None) == (l is None):
         raise GraphInputError("enumerate_oracle needs exactly one of k and l")
@@ -225,24 +229,22 @@ def _maximize(
     the optimum as `target`, the incumbent starts one below it and the
     search stops at the first leaf that reaches it."""
     n = len(cons_of)
-    smallest = min(size, default=1)
     most = max(size, default=1)
-    rank = [0] * n
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    # zero[v]: v's constraints whose cap is 0; v is selectable when it is 0.
-    # An undecided selectable vertex is "live"; live[c] counts c's live
-    # members and by_size[s] the live vertices in s constraints.
+    # zero[v]: v's constraints whose cap is 0, plus 1 while v is the vertex
+    # being branched on; an undecided v is selectable when it is 0.  An
+    # undecided selectable vertex is "live", and live[c] counts c's live
+    # members.
     zero = [0] * n
     for c, cap in enumerate(caps):
         if not cap:
             for u in constraints[c]:
                 zero[u] += 1
     live = [0] * len(constraints)
-    by_size = [0] * (most + 1)
+    addable = live_size = 0
     for v in range(n):
         if not zero[v]:
-            by_size[size[v]] += 1
+            addable += 1
+            live_size += size[v]
             for c in cons_of[v]:
                 live[c] += 1
 
@@ -261,24 +263,19 @@ def _maximize(
                 if best_size == target:
                     raise _Found
             return
-        # The bound's second term first: it needs no histogram scan.
-        room = best_size - len(chosen)
-        if addable + (cap_sum - live_size) // most <= room:
-            return
-        fewest = smallest
-        while not by_size[fewest]:
-            fewest += 1
-        if cap_sum // fewest <= room:
+        if addable + (cap_sum - live_size) // most <= best_size - len(chosen):
             return
         v = order[pos]
         while zero[v]:
             pos += 1
             v = order[pos]
             nodes += 1
-        # v leaves the live counts in both branches.
+        # v is decided in both branches: it leaves the live counts, and
+        # zero[v] stays positive until both return, so a vertex whose
+        # zero count rises to 1 is one that has just turned unselectable.
+        zero[v] = 1
         addable -= 1
         live_size -= size[v]
-        by_size[size[v]] -= 1
         for c in cons_of[v]:
             if live[c] <= caps[c]:
                 cap_sum -= 1
@@ -294,10 +291,9 @@ def _maximize(
             if not caps[c]:
                 for u in constraints[c]:
                     zero[u] += 1
-                    if zero[u] == 1 and rank[u] > pos:
+                    if zero[u] == 1:
                         add -= 1
                         lsize -= size[u]
-                        by_size[size[u]] -= 1
                         for d in cons_of[u]:
                             if live[d] <= caps[d]:
                                 csum -= 1
@@ -307,21 +303,19 @@ def _maximize(
             if not caps[c]:
                 for u in constraints[c]:
                     zero[u] -= 1
-                    if not zero[u] and rank[u] > pos:
-                        by_size[size[u]] += 1
+                    if not zero[u]:
                         for d in cons_of[u]:
                             live[d] += 1
             caps[c] += 1
         chosen.pop()
         if not exclude_first:
             rec(pos + 1, addable, live_size, cap_sum)
-        by_size[size[v]] += 1
+        zero[v] = 0
         for c in cons_of[v]:
             live[c] += 1
 
-    live_size = sum(s * count for s, count in enumerate(by_size))
     try:
-        rec(0, sum(by_size), live_size, sum(map(min, caps, live)))
+        rec(0, addable, live_size, sum(map(min, caps, live)))
     except _Found:
         pass
     return SolveResult(best_size, tuple(best_set), nodes)

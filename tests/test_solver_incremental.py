@@ -1,21 +1,25 @@
 """Differential test: the incremental bound against the per-node rescan.
 
-``limpack.solver`` keeps the terms of its effective-cap bound up to date
-as it branches; the frozen references recompute the same terms from
-scratch at every node, for packing and for domination as the complement
-packing.  An instance whose vertices all lie in the same number of
-constraints may be solved in two searches, so it is compared with
+``limpack.solver`` keeps the terms of its bound up to date as it
+branches; the frozen references recompute them from scratch at every
+node, for packing and for domination as the complement packing.  An
+instance whose vertices all lie in the same number of constraints may be
+solved in two searches, so it is compared with
 ``reference_solver_two_phase``; any other instance is one fixed-order
-search, compared with ``reference_solver_effective``.  The two must walk
+search, compared with ``reference_solver_excess``.  The two must walk
 the same search trees, so the whole ``SolveResult`` must be equal,
-``nodes_explored`` included.
+``nodes_explored`` included.  On the second kind, the optimum and the
+witness must also equal those of ``reference_solver_effective``, whose
+bound adds the term cap_sum // fewest.
 """
 
 import pytest
 import reference_solver_effective
+import reference_solver_excess
 import reference_solver_two_phase
 from corpus import random_typed_multigraph
 
+import limpack
 from limpack import (
     Graph,
     degree_stats,
@@ -23,9 +27,6 @@ from limpack import (
     gen_cycle,
     gen_named,
     gen_random_regular,
-    max_k_limited,
-    max_typed_two_limited,
-    min_tuple_dominating,
 )
 
 
@@ -33,15 +34,25 @@ def _reference(degrees):
     """The frozen solver for an instance with these vertex degrees."""
     if len(set(degrees)) == 1:
         return reference_solver_two_phase
-    return reference_solver_effective
+    return reference_solver_excess
+
+
+def _check(ref, solve: str, *args) -> None:
+    """limpack's `solve` walks the tree of `ref`; against the excess
+    reference it also finds the two-term bound's optimum and witness."""
+    got = getattr(limpack, solve)(*args)
+    assert got == getattr(ref, solve)(*args), (solve, args[1:])
+    if ref is reference_solver_excess:
+        two_terms = getattr(reference_solver_effective, solve)(*args)
+        assert (got.optimum, got.witness) == (two_terms.optimum, two_terms.witness)
 
 
 def _same_tree(g: Graph, ks, ls) -> None:
     ref = _reference(map(len, g.adj))
     for k in ks:
-        assert max_k_limited(g, k) == ref.max_k_limited(g, k), ("k", k)
+        _check(ref, "max_k_limited", g, k)
     for l in ls:
-        assert min_tuple_dominating(g, l) == ref.min_tuple_dominating(g, l), ("l", l)
+        _check(ref, "min_tuple_dominating", g, l)
 
 
 def _plain(seed: int, n: int) -> Graph:
@@ -66,8 +77,7 @@ def test_non_regular_same_tree(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_typed_same_tree(seed):
     tm = random_typed_multigraph(seed, 8 + seed % 13)
-    ref = _reference(map(tm.degree, range(tm.n)))
-    assert max_typed_two_limited(tm) == ref.max_typed_two_limited(tm)
+    _check(_reference(map(tm.degree, range(tm.n))), "max_typed_two_limited", tm)
 
 
 def test_small_and_disconnected_same_tree():
