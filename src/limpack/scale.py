@@ -41,13 +41,13 @@ GRID = [
 ]
 
 
-def run(grid: list) -> dict:
-    """Solve every cell of `grid` REPEATS times; return the record."""
-    graphs = {(n, seed): gen_random_regular(n, 3, seed) for n, seed, _, _ in grid}
-    results: list = [None] * len(grid)
-    seconds: list[list[float]] = [[] for _ in grid]
+def run() -> dict:
+    """Solve every cell of GRID REPEATS times; return the record."""
+    graphs = {(n, seed): gen_random_regular(n, 3, seed) for n, seed, _, _ in GRID}
+    results: list = [None] * len(GRID)
+    seconds: list[list[float]] = [[] for _ in GRID]
     for _ in range(REPEATS):
-        for i, (n, seed, name, limit) in enumerate(grid):
+        for i, (n, seed, name, limit) in enumerate(GRID):
             solve = max_k_limited if name == "k" else min_tuple_dominating
             g = graphs[n, seed]
             start = time.perf_counter_ns()
@@ -59,7 +59,7 @@ def run(grid: list) -> dict:
             elif results[i] != found:
                 raise InternalError(f"scale cell {i} changed between rounds")
     cells = []
-    for (n, seed, name, limit), (optimum, nodes), times in zip(grid, results, seconds):
+    for (n, seed, name, limit), (optimum, nodes), times in zip(GRID, results, seconds):
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         cells.append({
             "graph": f"gen_random_regular({n}, 3, {seed})",
@@ -79,7 +79,7 @@ def run(grid: list) -> dict:
 
 def write(path: str, show_timing: bool) -> None:
     """Run the suite, write its record to `path` and print one row per cell."""
-    record = run(GRID)
+    record = run()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -33,8 +33,10 @@ fixed-order search.
 At each node, call the undecided vertices that can still be selected
 "live".  Every constraint c can take at most min(cap_c, live_c) more
 members; cap_sum sums that over the constraints, live_size sums the
-constraint counts of the live vertices, and `most` is the largest count
-of any vertex.  The bound has one term: at most
+constraint counts of the live vertices, and `most` is the count of the
+first undecided vertex in the order.  No search order puts a vertex
+ahead of one in more constraints, so no live vertex lies in more than
+`most` constraints.  The bound has one term: at most
 addable + (cap_sum - live_size) // most more vertices fit, where
 `addable` counts the live vertices.  Each addition spends one unit of
 cap_sum in each of its constraints, so the live vertices left out must
@@ -64,8 +66,8 @@ decided vertex was stepped over as unselectable, so each decided vertex
 has a positive count and a vertex whose count rises to 1 is live until
 then.  A branch thus costs O(Δ²) updates, plus O(Δ) for each vertex that
 becomes unselectable, and moves cap_sum by at most 1 per constraint.
-Deciding an unselectable vertex changes no state, so a node steps over
-a run of them in one loop and counts one node for each.
+Deciding an unselectable vertex changes no state, so a node that is not
+pruned steps over a run of them in one loop and counts a node for each.
 
 ``enumerate_oracle`` scans all 2^n subsets with no pruning and is the
 independent yardstick the rest of the package is tested against.
@@ -227,9 +229,9 @@ def _maximize(
     the members of each constraint c, deciding the vertices in `order`; with
     `exclude_first`, each vertex is first left out, then taken.  Given
     the optimum as `target`, the incumbent starts one below it and the
-    search stops at the first leaf that reaches it."""
+    search stops at the first leaf that reaches it.  `order` puts no
+    vertex ahead of one in more constraints."""
     n = len(cons_of)
-    most = max(size, default=1)
     # zero[v]: v's constraints whose cap is 0, plus 1 while v is the vertex
     # being branched on; an undecided v is selectable when it is 0.  An
     # undecided selectable vertex is "live", and live[c] counts c's live
@@ -263,9 +265,11 @@ def _maximize(
                 if best_size == target:
                     raise _Found
             return
-        if addable + (cap_sum - live_size) // most <= best_size - len(chosen):
-            return
+        # No live vertex lies in more constraints than the first undecided
+        # one, v; then step over the unselectable vertices to a live v.
         v = order[pos]
+        if addable + (cap_sum - live_size) // size[v] <= best_size - len(chosen):
+            return
         while zero[v]:
             pos += 1
             v = order[pos]

@@ -5,14 +5,16 @@ walks every undecided vertex and recomputes the bound from scratch: the
 live (undecided, selectable) vertices, the total of their constraint
 counts, and the sum over the constraints of min(cap, live members).  It
 prunes on the excess term alone, addable + (cap_sum - live_size) // most,
-where `most` is the largest constraint count of any vertex.  Domination
-is the complement packing: the largest Y with at most |N[v]| - l members
-in each N[v], searched with "exclude from Y" first, and D = V minus Y.
-The solver in ``limpack.solver`` keeps the same terms up to date
-incrementally and must explore exactly the same tree on an instance whose
-vertices lie in different numbers of constraints, so
-``test_solver_incremental.py`` requires results equal to these there,
-node counts included.  Do not change this module when the solver changes.
+where `most` is the constraint count of the first undecided vertex in
+the order; a node reached by stepping over an unselectable vertex is
+not bounded again.  Domination is the complement packing: the largest Y
+with at most |N[v]| - l members in each N[v], searched with "exclude
+from Y" first, and D = V minus Y.  The solver in ``limpack.solver``
+keeps the same terms up to date incrementally and must explore exactly
+the same tree on an instance whose vertices lie in different numbers of
+constraints, so ``test_solver_incremental.py`` requires results equal to
+these there, node counts included.  Do not change this module when the
+solver changes.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ def _maximize(
     for idx, members in enumerate(constraints):
         for v in members:
             cons_of[v].append(idx)
-    most = max((len(cs) for cs in cons_of), default=1)
 
     best_size = -1
     best_set: list[int] = []
@@ -67,7 +68,7 @@ def _maximize(
     def selectable(v: int) -> bool:
         return all(caps[c] > 0 for c in cons_of[v])
 
-    def rec(pos: int) -> None:
+    def rec(pos: int, stepped: bool = False) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
         live = [0] * len(constraints)
@@ -85,12 +86,13 @@ def _maximize(
                 best_set = sorted(chosen)
             return
         cap_sum = sum(min(cap, count) for cap, count in zip(caps, live))
+        most = len(cons_of[order[pos]])
         bound = addable + (cap_sum - live_size) // most
-        if len(chosen) + bound <= best_size:
+        if not stepped and len(chosen) + bound <= best_size:
             return
         v = order[pos]
         if not selectable(v):
-            rec(pos + 1)
+            rec(pos + 1, stepped=True)
             return
         for include in (False, True) if exclude_first else (True, False):
             if include:

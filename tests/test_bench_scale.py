@@ -70,18 +70,41 @@ def test_cli_import_leaves_the_driver_out():
     assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
+def _key(cell: dict) -> tuple:
+    name = "k" if "k" in cell else "l"
+    return cell["graph"], name, cell[name]
+
+
 def test_committed_records_agree():
-    """Every committed scale record covers the grid, and all of them find
-    the same optimum in every cell."""
-    records = [json.loads(p.read_text()) for p in sorted(ROOT.glob("BENCH_*.json"))]
-    scale = [r for r in records if r["suite"] == "scale"]
-    assert scale
-    grid = [
-        (f"gen_random_regular({n}, 3, {seed})", name, limit)
-        for n, seed, name, limit in limpack.scale.GRID
-    ]
-    for record in scale:
-        cells = [(c["graph"], "k" if "k" in c else "l", c.get("k", c.get("l"))) for c in record["cells"]]
-        assert cells == grid
-        optima = [cell["optimum"] for cell in record["cells"]]
-        assert optima == [cell["optimum"] for cell in scale[0]["cells"]]
+    """Each committed scale record is well formed and, on its pool cells,
+    finds the optimum the solver finds; records agree on the optimum of
+    every cell they share.  The records of the one-term bound and of the
+    two-term bound before it cover the same cells with the same nodes,
+    since the two walk the same trees on every cubic graph."""
+    scale = {
+        p.name: record
+        for p in ROOT.glob("BENCH_*.json")
+        if (record := json.loads(p.read_text()))["suite"] == "scale"
+    }
+    solved: dict = {}
+    optima: dict = {}
+    for record in scale.values():
+        assert record["python"] and record["platform"] and record["repeats"] >= 1
+        keys = [_key(cell) for cell in record["cells"]]
+        assert len(set(keys)) == len(keys)
+        for key, cell in zip(keys, record["cells"]):
+            times = cell["seconds"]
+            assert 0 <= times["q1"] <= times["median"] <= times["q3"]
+            assert optima.setdefault(key, cell["optimum"]) == cell["optimum"], key
+            graph, name, limit = key
+            n, _, seed = graph.removeprefix("gen_random_regular(").removesuffix(")").split(", ")
+            if int(n) <= 28 and key not in solved:
+                g = gen_random_regular(int(n), 3, int(seed))
+                solve = max_k_limited if name == "k" else min_tuple_dominating
+                solved[key] = solve(g, limit).optimum
+                assert cell["optimum"] == solved[key], key
+    before, after = (
+        {_key(cell): cell["nodes"] for cell in scale[name]["cells"]}
+        for name in ("BENCH_two-term-bound.json", "BENCH_excess-bound.json")
+    )
+    assert before == after
