@@ -52,6 +52,13 @@ def random_typed_multigraph(seed: int, n: int) -> TypedMultigraph:
     return TypedMultigraph.from_edges(n, edges)
 
 
+def plain_graph(seed: int, n: int) -> Graph:
+    """The c- and d-edges of a corpus multigraph as one plain graph;
+    non-regular unless 3 | seed."""
+    tm = random_typed_multigraph(seed, n)
+    return Graph.from_edges(tm.n, [(u, v) for u, v, _ in tm.edges()])
+
+
 def _flip_all_c_k4s(c_edges: set[tuple[int, int]], d_edges: set[tuple[int, int]]) -> None:
     while True:
         cadj: dict[int, set[int]] = {}

@@ -10,7 +10,7 @@ c-edge as a cap-1 constraint.
 """
 
 import pytest
-from corpus import random_typed_multigraph
+from corpus import plain_graph, random_typed_multigraph
 from dp_checker import max_feasible
 
 from limpack import (
@@ -38,12 +38,6 @@ def _typed(tm: TypedMultigraph) -> int:
     return max_feasible(tm.n, edges + [([v, *a], 2) for v, a in enumerate(tm.d_adj)])
 
 
-def _plain(seed: int, n: int) -> Graph:
-    """The c- and d-edges of a corpus multigraph; non-regular unless 3 | seed."""
-    tm = random_typed_multigraph(seed, n)
-    return Graph.from_edges(tm.n, [(u, v) for u, v, _ in tm.edges()])
-
-
 def _same_optima(g: Graph, ls) -> None:
     for k in (1, 2, 3):
         assert max_k_limited(g, k).optimum == _packing(g, k), ("k", k)
@@ -58,7 +52,7 @@ def test_random_cubic_matches_dp(n, seed):
 
 @pytest.mark.parametrize("seed", [s for s in range(12) if s % 3])
 def test_non_regular_matches_dp(seed):
-    g = _plain(seed, 20 + seed % 9)
+    g = plain_graph(seed, 20 + seed % 9)
     _same_optima(g, range(2, min(3, degree_stats(g).min_degree + 1) + 1))
 
 
@@ -70,7 +64,7 @@ def test_typed_matches_dp(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dp_matches_oracle(seed):
-    g = _plain(seed, 9 + seed)
+    g = plain_graph(seed, 9 + seed)
     for k in (1, 2, 3):
         assert _packing(g, k) == enumerate_oracle(g, k), ("k", k)
     for l in range(1, degree_stats(g).min_degree + 2):

@@ -1,23 +1,19 @@
 """Differential test: the incremental bound against the per-node rescan.
 
 ``limpack.solver`` keeps the terms of its bound up to date as it
-branches; the frozen references recompute them from scratch at every
-node, for packing and for domination as the complement packing.  An
-instance whose vertices all lie in the same number of constraints may be
-solved in two searches, so it is compared with
-``reference_solver_two_phase``; any other instance is one fixed-order
-search, compared with ``reference_solver_excess``.  The two must walk
-the same search trees, so the whole ``SolveResult`` must be equal,
-``nodes_explored`` included.  On the second kind, the optimum and the
-witness must also equal those of ``reference_solver_effective``, whose
-bound adds the term cap_sum // fewest.
+branches; the frozen ``reference_solver_excess`` recomputes them from
+scratch at every node, for packing and for domination as the complement
+packing, with the same front end: one fixed-order search, or two
+searches on an instance whose vertices all lie in the same number of
+constraints.  The two must walk the same search trees, so on every
+instance the whole ``SolveResult`` must be equal, ``nodes_explored``
+included.  ``test_solver_reference.py`` checks the optima and witnesses
+of the same non-regular and typed instances against the seed's engine.
 """
 
 import pytest
-import reference_solver_effective
-import reference_solver_excess
-import reference_solver_two_phase
-from corpus import random_typed_multigraph
+import reference_solver_excess as ref
+from corpus import plain_graph, random_typed_multigraph
 
 import limpack
 from limpack import (
@@ -30,35 +26,16 @@ from limpack import (
 )
 
 
-def _reference(degrees):
-    """The frozen solver for an instance with these vertex degrees."""
-    if len(set(degrees)) == 1:
-        return reference_solver_two_phase
-    return reference_solver_excess
-
-
-def _check(ref, solve: str, *args) -> None:
-    """limpack's `solve` walks the tree of `ref`; against the excess
-    reference it also finds the two-term bound's optimum and witness."""
-    got = getattr(limpack, solve)(*args)
-    assert got == getattr(ref, solve)(*args), (solve, args[1:])
-    if ref is reference_solver_excess:
-        two_terms = getattr(reference_solver_effective, solve)(*args)
-        assert (got.optimum, got.witness) == (two_terms.optimum, two_terms.witness)
+def _check(solve: str, *args) -> None:
+    """limpack's `solve` walks the tree of the frozen reference."""
+    assert getattr(limpack, solve)(*args) == getattr(ref, solve)(*args), (solve, args[1:])
 
 
 def _same_tree(g: Graph, ks, ls) -> None:
-    ref = _reference(map(len, g.adj))
     for k in ks:
-        _check(ref, "max_k_limited", g, k)
+        _check("max_k_limited", g, k)
     for l in ls:
-        _check(ref, "min_tuple_dominating", g, l)
-
-
-def _plain(seed: int, n: int) -> Graph:
-    """The c- and d-edges of a corpus multigraph; non-regular unless 3 | seed."""
-    tm = random_typed_multigraph(seed, n)
-    return Graph.from_edges(tm.n, [(u, v) for u, v, _ in tm.edges()])
+        _check("min_tuple_dominating", g, l)
 
 
 @pytest.mark.parametrize(
@@ -70,14 +47,14 @@ def test_random_cubic_same_tree(n, seed):
 
 @pytest.mark.parametrize("seed", [s for s in range(36) if s % 3])
 def test_non_regular_same_tree(seed):
-    g = _plain(seed, 10 + seed % 9)
+    g = plain_graph(seed, 10 + seed % 9)
     _same_tree(g, (1, 2, 3), range(1, degree_stats(g).min_degree + 2))
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_typed_same_tree(seed):
     tm = random_typed_multigraph(seed, 8 + seed % 13)
-    _check(_reference(map(tm.degree, range(tm.n))), "max_typed_two_limited", tm)
+    _check("max_typed_two_limited", tm)
 
 
 def test_small_and_disconnected_same_tree():

@@ -12,7 +12,7 @@ no second solver:
 import random
 
 import pytest
-from corpus import random_typed_multigraph
+from corpus import plain_graph
 
 from limpack import (
     Graph,
@@ -28,12 +28,6 @@ from limpack import (
 )
 
 TOL = 1e-9
-
-
-def _plain(seed: int, n: int) -> Graph:
-    """The c- and d-edges of a corpus multigraph; non-regular unless 3 | seed."""
-    tm = random_typed_multigraph(seed, n)
-    return Graph.from_edges(tm.n, [(u, v) for u, v, _ in tm.edges()])
 
 
 def _optima(g: Graph) -> dict:
@@ -56,7 +50,7 @@ GRAPHS = [("cubic", n, s) for n, s in ((20, 0), (24, 1), (28, 2), (32, 3), (36, 
 
 
 def _graph(kind: str, n: int, seed: int) -> Graph:
-    return gen_random_regular(n, 3, seed=seed) if kind == "cubic" else _plain(seed, n)
+    return gen_random_regular(n, 3, seed=seed) if kind == "cubic" else plain_graph(seed, n)
 
 
 @pytest.mark.parametrize("kind, n, seed", GRAPHS)
@@ -74,7 +68,7 @@ def test_relabelling_keeps_the_optimum(kind, n, seed):
     [
         (gen_named("petersen"), gen_named("petersen")),
         (gen_random_regular(20, 3, seed=0), gen_random_regular(24, 3, seed=0)),
-        (_plain(1, 20), gen_random_regular(20, 3, seed=1)),
+        (plain_graph(1, 20), gen_random_regular(20, 3, seed=1)),
     ],
     ids=["petersen-x2", "cubic-20+24", "plain-20+cubic-20"],
 )

@@ -7,11 +7,14 @@ strictly improve on the incumbent, so every optimum and witness must match
 
 import pytest
 import reference_solver as ref
-from corpus import random_typed_multigraph
+from corpus import plain_graph, random_typed_multigraph
 
 from limpack import (
     Graph,
     degree_stats,
+    disjoint_union,
+    gen_cycle,
+    gen_named,
     gen_random_regular,
     max_k_limited,
     max_typed_two_limited,
@@ -24,12 +27,6 @@ def _same_search(new, old) -> None:
     assert new.nodes_explored <= old.nodes_explored
 
 
-def _plain(seed: int, n: int) -> Graph:
-    """The c- and d-edges of a corpus multigraph; non-regular unless 3 | seed."""
-    tm = random_typed_multigraph(seed, n)
-    return Graph.from_edges(tm.n, [(u, v) for u, v, _ in tm.edges()])
-
-
 @pytest.mark.parametrize("n, seed", [(n, s) for n in (8, 12, 16, 20, 24) for s in range(3)])
 def test_random_cubic_matches_reference(n, seed):
     g = gen_random_regular(n, 3, seed=seed)
@@ -39,19 +36,33 @@ def test_random_cubic_matches_reference(n, seed):
         _same_search(min_tuple_dominating(g, l), ref.min_tuple_dominating(g, l))
 
 
-@pytest.mark.parametrize("seed", [s for s in range(36) if s % 3])
-def test_non_regular_matches_reference(seed):
-    g = _plain(seed, 10 + seed % 9)
+def _same_searches(g: Graph) -> None:
     for k in (1, 2, 3):
         _same_search(max_k_limited(g, k), ref.max_k_limited(g, k))
     for l in range(1, degree_stats(g).min_degree + 2):
         _same_search(min_tuple_dominating(g, l), ref.min_tuple_dominating(g, l))
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", [s for s in range(36) if s % 3])
+def test_non_regular_matches_reference(seed):
+    _same_searches(plain_graph(seed, 10 + seed % 9))
+
+
+@pytest.mark.parametrize("seed", range(60))
 def test_typed_matches_reference(seed):
     tm = random_typed_multigraph(seed, 8 + seed % 13)
     _same_search(max_typed_two_limited(tm), ref.max_typed_two_limited(tm))
+
+
+def test_small_and_disconnected_match_reference():
+    """Small graphs and a disjoint union of two different degrees."""
+    cases = [
+        Graph.from_edges(0, []),
+        Graph.from_edges(3, [(0, 1)]),
+        disjoint_union(gen_cycle(5), gen_named("petersen")),
+    ]
+    for g in cases:
+        _same_searches(g)
 
 
 def test_bounds_prune_on_cubic():
