@@ -79,10 +79,6 @@ def _flip_all_c_k4s(c_edges: set[tuple[int, int]], d_edges: set[tuple[int, int]]
             return
 
 
-def all_d(g: Graph) -> TypedMultigraph:
-    return TypedMultigraph.from_graph(g)
-
-
 def typed(n: int, c_pairs, d_pairs) -> TypedMultigraph:
     edges = [(u, v, "c") for u, v in c_pairs] + [(u, v, "d") for u, v in d_pairs]
     return TypedMultigraph.from_edges(n, edges)

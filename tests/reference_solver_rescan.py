@@ -2,11 +2,9 @@
 
 Both engines here recompute the residual double-counting bound from
 scratch at each node: ``_maximize`` walks every undecided vertex and its
-constraints, ``_minimize`` walks every constraint's coverage.  The solver
-in ``limpack.solver`` keeps the same bound up to date incrementally and
-must explore exactly the same tree, so ``test_solver_incremental.py``
-requires results equal to these, node counts included.  Do not change
-this module when the solver changes.
+constraints, ``_minimize`` walks every constraint's coverage.
+``test_solver_complement.py`` and ``test_solver_bound.py`` compare the
+solver with these.  Do not change this module when the solver changes.
 """
 
 from __future__ import annotations

@@ -9,11 +9,15 @@ applies each edit there in turn, and runs
     pytest -x -q tests/test_solver_incremental.py tests/test_solver_reference.py
 
 with a limit of TIMEOUT seconds per run.  A mutant is caught when that
-run fails within the limit.  The unmutated copy runs first and must
-pass.  The exit status is 0 when every mutant is caught.
-``tests/test_solver_dp.py`` is not in the run: a loosened bound makes its
-larger solves search for minutes instead of failing.  Standard library
-only; pytest does not collect this file.
+run fails within the limit.  The replay in ``tests/solver_replay.py``
+rejects a node whose terms, prune, stepped-over vertices or children
+differ from the documented search, so it must catch a bound that prunes
+one too early and one that prunes one too late.  The unmutated copy runs
+first and must pass.  The exit status is 0 when every mutant is caught.
+``tests/test_solver_dp.py`` is not in the run: under a bound that stops
+pruning, its tests pass slowly or fail only at their 30-s budget each,
+over a minute in all.  Standard library only; pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ MUTANTS = [
         "prune at `<= best_size - len(chosen) + 1`",
         "<= best_size - len(chosen):",
         "<= best_size - len(chosen) + 1:",
+    ),
+    (
+        "prune at `<= best_size - len(chosen) - 1`",
+        "<= best_size - len(chosen):",
+        "<= best_size - len(chosen) - 1:",
     ),
     ("drop `lsize -= size[u]`", "                        lsize -= size[u]\n", ""),
     (

@@ -6,8 +6,12 @@ vertices (above the oracle's reach) and on the corpus's non-regular
 and typed graphs.  Packing is k-limited packing with cap k on each
 closed neighbourhood; domination is n minus the largest set with at
 most |N[v]| - l members in each N[v]; a typed multigraph adds each
-c-edge as a cap-1 constraint.
+c-edge as a cap-1 constraint.  Each test runs under a wall-clock
+budget, so a bound that stops pruning fails the test instead of
+searching for minutes.
 """
+
+import signal
 
 import pytest
 from corpus import plain_graph, random_typed_multigraph
@@ -23,6 +27,22 @@ from limpack import (
     max_typed_two_limited,
     min_tuple_dominating,
 )
+
+
+BUDGET_S = 30.0  # the slowest test takes under 1 s
+
+
+def _alarm(signum, frame):
+    pytest.fail(f"no answer within {BUDGET_S} s", pytrace=False)
+
+
+@pytest.fixture(autouse=True)
+def _within_budget():
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
 
 
 def _packing(g: Graph, k: int) -> int:

@@ -1,21 +1,20 @@
-"""Differential test: the incremental bound against the per-node rescan.
+"""Tree test: every node of the exact solver's searches, checked by replay.
 
-``limpack.solver`` keeps the terms of its bound up to date as it
-branches; the frozen ``reference_solver_excess`` recomputes them from
-scratch at every node, for packing and for domination as the complement
-packing, with the same front end: one fixed-order search, or two
-searches on an instance whose vertices all lie in the same number of
-constraints.  The two must walk the same search trees, so on every
-instance the whole ``SolveResult`` must be equal, ``nodes_explored``
-included.  ``test_solver_reference.py`` checks the optima and witnesses
-of the same non-regular and typed instances against the seed's engine.
+``solver_replay.replay`` runs each solve and checks every node of its
+searches from scratch: the three terms of the bound, leaf and prune
+exactly as documented, the stepped-over vertices, both children in
+branch order, the one- or two-search front end, the node total, the
+optimum and the witness.  The instances are random cubic graphs up to
+n = 48, non-regular and typed graphs from the corpus, and small and
+disconnected graphs; packing and domination (as the complement packing)
+alike.  ``test_solver_reference.py`` checks the optima and witnesses of
+the same non-regular and typed instances against the seed's engine.
 """
 
 import pytest
-import reference_solver_excess as ref
 from corpus import plain_graph, random_typed_multigraph
+from solver_replay import replay
 
-import limpack
 from limpack import (
     Graph,
     degree_stats,
@@ -23,19 +22,17 @@ from limpack import (
     gen_cycle,
     gen_named,
     gen_random_regular,
+    max_k_limited,
+    max_typed_two_limited,
+    min_tuple_dominating,
 )
-
-
-def _check(solve: str, *args) -> None:
-    """limpack's `solve` walks the tree of the frozen reference."""
-    assert getattr(limpack, solve)(*args) == getattr(ref, solve)(*args), (solve, args[1:])
 
 
 def _same_tree(g: Graph, ks, ls) -> None:
     for k in ks:
-        _check("max_k_limited", g, k)
+        replay(max_k_limited, g, k)
     for l in ls:
-        _check("min_tuple_dominating", g, l)
+        replay(min_tuple_dominating, g, l)
 
 
 @pytest.mark.parametrize(
@@ -54,7 +51,7 @@ def test_non_regular_same_tree(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_typed_same_tree(seed):
     tm = random_typed_multigraph(seed, 8 + seed % 13)
-    _check("max_typed_two_limited", tm)
+    replay(max_typed_two_limited, tm)
 
 
 def test_small_and_disconnected_same_tree():
@@ -81,3 +78,13 @@ def test_random_cubic_n32_same_tree(seed):
 def test_deeper_random_cubic_same_tree(n, seed):
     """Searches of thousands of nodes, deeper than the trees above."""
     _same_tree(gen_random_regular(n, 3, seed=seed), (2,), (2,))
+
+
+@pytest.mark.parametrize(
+    "n, seed, solve, limit",
+    [(40, 1, max_k_limited, 2), (40, 0, min_tuple_dominating, 2), (48, 1, max_k_limited, 2)],
+    ids=["n40-s1-k2", "n40-s0-l2", "n48-s1-k2"],
+)
+def test_larger_random_cubic_same_tree(n, seed, solve, limit):
+    """Above the reach of the DP checker: 6 000 to 14 000 nodes each."""
+    replay(solve, gen_random_regular(n, 3, seed=seed), limit)
